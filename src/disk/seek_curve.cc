@@ -1,17 +1,37 @@
 #include "disk/seek_curve.hh"
 
+#include <bit>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <tuple>
+#include <vector>
 
 #include "sim/logging.hh"
 
 namespace howsim::disk
 {
 
-SeekCurve::SeekCurve(const DiskSpec &spec, std::uint32_t cylinders)
-    : cyls(cylinders), writePenaltyMs(spec.writeSeekPenaltyMs)
+struct SeekCurve::Table
 {
-    if (cylinders < 3)
-        panic("SeekCurve needs at least 3 cylinders");
+    double a = 0, b = 0, c = 0;
+    std::vector<sim::Tick> readTicks;
+    std::vector<sim::Tick> writeTicks;
+
+    Table(const DiskSpec &spec, std::uint32_t cylinders);
+
+    double
+    evalMs(std::uint32_t distance) const
+    {
+        if (distance == 0)
+            return 0.0;
+        return a + b * std::sqrt(static_cast<double>(distance))
+               + c * static_cast<double>(distance);
+    }
+};
+
+SeekCurve::Table::Table(const DiskSpec &spec, std::uint32_t cylinders)
+{
     const double t2t = spec.trackToTrackMs;
     const double avg = spec.avgSeekMs;
     const double max = spec.maxSeekMs;
@@ -56,17 +76,77 @@ SeekCurve::SeekCurve(const DiskSpec &spec, std::uint32_t cylinders)
     for (std::uint32_t d = 1; d < cylinders; ++d) {
         double ms = evalMs(d);
         readTicks[d] = sim::fromSeconds(ms * 1e-3);
-        writeTicks[d] = sim::fromSeconds((ms + writePenaltyMs) * 1e-3);
+        writeTicks[d] =
+            sim::fromSeconds((ms + spec.writeSeekPenaltyMs) * 1e-3);
     }
 }
 
-double
-SeekCurve::evalMs(std::uint32_t distance) const
+namespace
 {
-    if (distance == 0)
-        return 0.0;
-    return a + b * std::sqrt(static_cast<double>(distance))
-           + c * static_cast<double>(distance);
+
+/**
+ * Everything a fitted table depends on. Doubles are keyed by their
+ * bit patterns, so the ordering stays strict even for a NaN.
+ */
+using TableKey = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
+                            std::uint64_t, std::uint32_t>;
+
+TableKey
+tableKey(const DiskSpec &spec, std::uint32_t cylinders)
+{
+    return {std::bit_cast<std::uint64_t>(spec.trackToTrackMs),
+            std::bit_cast<std::uint64_t>(spec.avgSeekMs),
+            std::bit_cast<std::uint64_t>(spec.maxSeekMs),
+            std::bit_cast<std::uint64_t>(spec.writeSeekPenaltyMs),
+            cylinders};
+}
+
+} // namespace
+
+SeekCurve::SeekCurve(const DiskSpec &spec, std::uint32_t cylinders)
+    : cyls(cylinders)
+{
+    if (cylinders < 3)
+        panic("SeekCurve needs at least 3 cylinders");
+
+    // Tables live as long as some curve holds them; the cache only
+    // remembers them. Fitting under the lock means concurrent
+    // constructions of one model wait for, then share, one table.
+    static std::mutex mutex;
+    static std::map<TableKey, std::weak_ptr<const Table>> cache;
+    const TableKey key = tableKey(spec, cylinders);
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (auto it = cache.find(key); it != cache.end())
+            table = it->second.lock();
+        if (!table) {
+            std::erase_if(cache, [](const auto &kv) {
+                return kv.second.expired();
+            });
+            table = std::make_shared<const Table>(spec, cylinders);
+            cache[key] = table;
+        }
+    }
+    readTicks = table->readTicks.data();
+    writeTicks = table->writeTicks.data();
+}
+
+double
+SeekCurve::coefA() const
+{
+    return table->a;
+}
+
+double
+SeekCurve::coefB() const
+{
+    return table->b;
+}
+
+double
+SeekCurve::coefC() const
+{
+    return table->c;
 }
 
 double
@@ -76,7 +156,7 @@ SeekCurve::meanSeekMs() const
     double mean = 0;
     for (std::uint32_t d = 1; d < cyls; ++d) {
         double p = 2.0 * (c_d - d) / (c_d * (c_d - 1.0));
-        mean += p * evalMs(d);
+        mean += p * table->evalMs(d);
     }
     return mean;
 }

@@ -9,13 +9,21 @@
  * uniformly random cylinder pairs equals the published average seek —
  * the same three data points DiskSim configurations are calibrated
  * against when only a data sheet is available.
+ *
+ * The fitted coefficients and per-distance tick tables depend only on
+ * (track-to-track, average, maximum, write penalty, cylinders), and a
+ * machine's drives are usually identical — 128 Seagate ST39102s in
+ * the paper's setup. So one immutable table per distinct parameter
+ * set is fitted and shared through a process-wide cache of weak
+ * references (mutex-guarded, so concurrent experiments may build
+ * drives at once); the table dies with the last curve using it.
  */
 
 #ifndef HOWSIM_DISK_SEEK_CURVE_HH
 #define HOWSIM_DISK_SEEK_CURVE_HH
 
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "disk/disk_spec.hh"
 #include "sim/ticks.hh"
@@ -34,7 +42,7 @@ class SeekCurve
 
     /**
      * Seek time over @p distance cylinders, in ticks. Served from a
-     * per-distance lookup table precomputed at construction — the
+     * per-distance lookup table fitted once per drive model — the
      * task suite issues millions of seeks per run, so the hot path
      * is one bounds-free array read instead of a sqrt and two
      * multiplies per request.
@@ -50,25 +58,28 @@ class SeekCurve
 
     /** @name Fitted coefficients (milliseconds), for tests. */
     /** @{ */
-    double coefA() const { return a; }
-    double coefB() const { return b; }
-    double coefC() const { return c; }
+    double coefA() const;
+    double coefB() const;
+    double coefC() const;
     /** @} */
 
+    /** Identity of the shared fitted table, for tests. */
+    const void *tableIdentity() const { return table.get(); }
+
   private:
-    double evalMs(std::uint32_t distance) const;
+    struct Table;
 
     std::uint32_t cyls;
-    double a = 0, b = 0, c = 0;
-    double writePenaltyMs;
+    std::shared_ptr<const Table> table;
 
     /**
-     * seekTicks() per cylinder distance, indices [0, cyls). Entry 0
-     * is 0 (no movement). The write table folds in the write-settle
-     * penalty before tick rounding, exactly as the formula did.
+     * seekTicks() per cylinder distance, indices [0, cyls), pointing
+     * into the shared table. Entry 0 is 0 (no movement). The write
+     * table folds in the write-settle penalty before tick rounding,
+     * exactly as the formula did.
      */
-    std::vector<sim::Tick> readTicks;
-    std::vector<sim::Tick> writeTicks;
+    const sim::Tick *readTicks;
+    const sim::Tick *writeTicks;
 };
 
 } // namespace howsim::disk

@@ -130,7 +130,12 @@ class Session
 
 namespace detail_tls
 {
-extern thread_local Session *tlsSession;
+/**
+ * constinit tells every including TU that the variable has no dynamic
+ * initializer, so the compiler reads it directly instead of through a
+ * TLS wrapper function (whose null-initializer probe UBSan flags).
+ */
+extern constinit thread_local Session *tlsSession;
 } // namespace detail_tls
 
 /** True unless built with -DHOWSIM_OBS_COMPILED=0. */

@@ -10,10 +10,10 @@
  * therefore performs zero heap allocations, where the previous
  * std::function + shared_ptr representation performed two.
  *
- * Relocation (the move used while sifting entries through the event
- * heap) is a plain memcpy for trivially copyable captures — handles,
- * raw pointers, small PODs — and a type-erased move-construct +
- * destroy for everything else.
+ * Relocation (the move into and out of EventQueue's slot pool; the
+ * schedulers only sift 24-byte keys) is a plain memcpy for trivially
+ * copyable captures — handles, raw pointers, small PODs — and a
+ * type-erased move-construct + destroy for everything else.
  */
 
 #ifndef HOWSIM_SIM_ACTION_HH

@@ -1,5 +1,6 @@
 #include "sim/arena.hh"
 
+#include <atomic>
 #include <new>
 
 #include "sim/logging.hh"
@@ -16,8 +17,8 @@ thread_local Arena *tlsArena = nullptr;
  * Every block (chunk-backed, oversize, and global-fallback alike)
  * is preceded by this 16-byte header so release() is self-routing.
  * owner == nullptr means ::operator new with no arena involved;
- * cls == 0 with an owner means an oversize block that only
- * participates in the arena's refcount.
+ * cls == 0 with an owner means an oversize block that only counts
+ * toward the arena's live blocks.
  */
 struct Header
 {
@@ -36,6 +37,12 @@ struct Arena::Control
     static constexpr std::size_t nClasses
         = maxBlockBytes / classBytes + 1;
 
+    /**
+     * The handle's share of refs. Remote releases count down from
+     * it, so refs cannot reach zero while the handle lives.
+     */
+    static constexpr std::uint64_t handleBias = std::uint64_t{1} << 62;
+
     struct FreeNode
     {
         FreeNode *next;
@@ -47,11 +54,10 @@ struct Arena::Control
         std::size_t capacity; //!< usable bytes after this header
     };
 
-    /**
-     * Treiber stacks: release() pushes from any thread; allocate()
-     * pops only on the owner thread (single consumer, so no ABA).
-     */
-    std::atomic<FreeNode *> freelist[nClasses] = {};
+    // Owner-thread state: plain loads and stores only.
+    FreeNode *freelist[nClasses] = {};
+    /** Blocks handed out minus blocks released on the owner path. */
+    std::uint64_t live = 0;
 
     Chunk *chunks = nullptr; //!< newest first
     std::byte *bump = nullptr;
@@ -65,17 +71,64 @@ struct Arena::Control
     std::uint64_t freelistHits = 0;
     std::uint64_t oversize = 0;
 
+    // Shared with releasing threads.
     /**
-     * 1 for the Arena handle plus 1 per live block. The control
-     * block (and its chunks) dies when this reaches zero, which may
-     * be a block release long after the handle is gone.
+     * Blocks released off the owner thread, every size class on one
+     * Treiber stack: any thread pushes, the owner takes the whole
+     * stack with one exchange (drainRemote), so there is no ABA.
      */
-    std::atomic<std::uint64_t> refs{1};
+    std::atomic<FreeNode *> remote{nullptr};
 
+    /**
+     * handleBias minus remote releases while the handle lives; after
+     * dropHandle(), the number of blocks still out. The control block
+     * (and its chunks) dies when this reaches zero, which may be a
+     * block release long after the handle is gone.
+     */
+    std::atomic<std::uint64_t> refs{handleBias};
+
+    /** Blocks not yet released, by either path. Owner thread only. */
+    std::uint64_t
+    outstanding() const noexcept
+    {
+        return live - (handleBias - refs.load(std::memory_order_acquire));
+    }
+
+    /** Move every remotely released block onto its class free list. */
+    void
+    drainRemote() noexcept
+    {
+        FreeNode *node = remote.exchange(nullptr, std::memory_order_acquire);
+        while (node) {
+            FreeNode *next = node->next;
+            // FreeNode overlays Header::owner; the class survives.
+            std::uint64_t cls = reinterpret_cast<Header *>(node)->cls;
+            node->next = freelist[cls];
+            freelist[cls] = node;
+            node = next;
+        }
+    }
+
+    /** A release off the owner path, or after the handle is gone. */
     static void
     unref(Control *c) noexcept
     {
         if (c->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            destroy(c);
+    }
+
+    /**
+     * The handle lets go: trade its bias for the owner's live count,
+     * leaving refs equal to the blocks still out (modular arithmetic:
+     * remote releases may have taken refs below the bias by more than
+     * live).
+     */
+    static void
+    dropHandle(Control *c) noexcept
+    {
+        std::uint64_t delta = c->live - handleBias;
+        if (c->refs.fetch_add(delta, std::memory_order_acq_rel) + delta
+            == 0)
             destroy(c);
     }
 
@@ -97,7 +150,7 @@ Arena::Arena() : ctl(new Control) {}
 Arena::~Arena()
 {
     if (ctl)
-        Control::unref(ctl);
+        Control::dropHandle(ctl);
 }
 
 Arena::Arena(Arena &&other) noexcept
@@ -111,7 +164,7 @@ Arena::operator=(Arena &&other) noexcept
 {
     if (this != &other) {
         if (ctl)
-            Control::unref(ctl);
+            Control::dropHandle(ctl);
         ctl = other.ctl;
         other.ctl = nullptr;
     }
@@ -123,11 +176,11 @@ Arena::allocate(std::size_t bytes)
 {
     Control &c = *ctl;
     std::size_t need = bytes + sizeof(Header);
+    ++c.live;
     if (need > maxBlockBytes) {
         // Oversize: plain ::new, but tagged with the control block so
         // the arena's live count still covers it.
         ++c.oversize;
-        c.refs.fetch_add(1, std::memory_order_relaxed);
         auto *h = static_cast<Header *>(::operator new(need));
         h->owner = &c;
         h->cls = 0;
@@ -135,26 +188,24 @@ Arena::allocate(std::size_t bytes)
     }
     std::size_t cls = (need + classBytes - 1) / classBytes;
     ++c.allocs;
-    c.refs.fetch_add(1, std::memory_order_relaxed);
 
-    // Single-consumer pop: only the owner thread executes this, so
-    // the head cannot be recycled underneath the CAS.
-    auto &list = c.freelist[cls];
-    Control::FreeNode *head = list.load(std::memory_order_acquire);
-    while (head) {
-        if (list.compare_exchange_weak(head, head->next,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
-            ++c.freelistHits;
-            auto *h = reinterpret_cast<Header *>(head);
-            h->owner = &c;
-            h->cls = cls;
-            return h + 1;
-        }
+    Control::FreeNode *head = c.freelist[cls];
+    if (!head && c.remote.load(std::memory_order_relaxed)) {
+        c.drainRemote();
+        head = c.freelist[cls];
+    }
+    if (head) {
+        c.freelist[cls] = head->next;
+        ++c.freelistHits;
+        auto *h = reinterpret_cast<Header *>(head);
+        h->owner = &c;
+        h->cls = cls;
+        return h + 1;
     }
 
     std::size_t sz = cls * classBytes;
-    if (static_cast<std::size_t>(c.bumpEnd - c.bump) < sz) {
+    while (static_cast<std::size_t>(c.bumpEnd - c.bump) < sz) {
+        // A recycled chunk smaller than the request is skipped.
         if (c.reuse) {
             // reset() put the existing chunks back in play.
             c.bump = reinterpret_cast<std::byte *>(c.reuse + 1);
@@ -174,10 +225,6 @@ Arena::allocate(std::size_t bytes)
             c.bump = reinterpret_cast<std::byte *>(chunk + 1);
             c.bumpEnd = c.bump + chunkBytes;
         }
-        if (static_cast<std::size_t>(c.bumpEnd - c.bump) < sz) {
-            // A recycled chunk smaller than the request; skip it.
-            return allocate(bytes);
-        }
     }
     auto *h = reinterpret_cast<Header *>(c.bump);
     c.bump += sz;
@@ -195,20 +242,26 @@ Arena::release(void *p) noexcept
         ::operator delete(h);
         return;
     }
+    Arena *installed = tlsArena;
+    bool owner = installed && installed->ctl == c;
     if (h->cls == 0) {
         ::operator delete(h);
+    } else if (owner) {
+        auto *node = reinterpret_cast<Control::FreeNode *>(h);
+        node->next = c->freelist[h->cls];
+        c->freelist[h->cls] = node;
+    } else {
+        auto *node = reinterpret_cast<Control::FreeNode *>(h);
+        node->next = c->remote.load(std::memory_order_relaxed);
+        while (!c->remote.compare_exchange_weak(
+            node->next, node, std::memory_order_release,
+            std::memory_order_relaxed)) {
+        }
+    }
+    if (owner)
+        --c->live;
+    else
         Control::unref(c);
-        return;
-    }
-    // Any-thread push onto the class free list.
-    auto *node = reinterpret_cast<Control::FreeNode *>(h);
-    auto &list = c->freelist[h->cls];
-    node->next = list.load(std::memory_order_relaxed);
-    while (!list.compare_exchange_weak(node->next, node,
-                                       std::memory_order_release,
-                                       std::memory_order_relaxed)) {
-    }
-    Control::unref(c);
 }
 
 void *
@@ -227,13 +280,17 @@ void
 Arena::reset()
 {
     Control &c = *ctl;
-    std::uint64_t refs = c.refs.load(std::memory_order_acquire);
-    if (refs != 1) {
+    if (std::uint64_t out = c.outstanding()) {
         panic("Arena::reset with %llu live allocation(s)",
-              static_cast<unsigned long long>(refs - 1));
+              static_cast<unsigned long long>(out));
     }
+    // No block is out, so no other thread can reach the shared
+    // fields until the next allocate().
+    c.live = 0;
+    c.refs.store(Control::handleBias, std::memory_order_relaxed);
+    c.remote.store(nullptr, std::memory_order_relaxed);
     for (auto &list : c.freelist)
-        list.store(nullptr, std::memory_order_relaxed);
+        list = nullptr;
     c.reuse = c.chunks;
     c.bump = c.bumpEnd = nullptr;
 }
@@ -254,7 +311,7 @@ Arena::stats() const
     s.allocs = c.allocs;
     s.freelistHits = c.freelistHits;
     s.oversize = c.oversize;
-    s.live = c.refs.load(std::memory_order_acquire) - 1;
+    s.live = c.outstanding();
     return s;
 }
 

@@ -20,24 +20,31 @@
  *    thread whose ArenaScope installed it).
  *  - release() may be called from ANY thread: a coroutine frame
  *    allocated at setup time on the main thread may be reaped by a
- *    partition worker mid-run. Free lists are therefore Treiber
- *    stacks (atomic head, CAS push); the single-consumer pop on the
- *    owner thread makes the stack ABA-free.
+ *    partition worker mid-run. A release on the thread where the
+ *    block's arena is installed takes the owner path: a push onto a
+ *    plain per-class free list and a decrement of a plain live
+ *    count, no atomic instruction at all. Any other release pushes
+ *    the block onto the arena's single remote list (a Treiber stack)
+ *    and decrements the shared refcount; the owner drains the whole
+ *    remote list into its free lists with one exchange when a size
+ *    class runs dry.
  *  - Every block carries a 16-byte header naming its owning arena
- *    control block, so release() needs no thread-local lookup and
- *    blocks that outlive their Arena handle (a ProcessRef held past
- *    the Simulator, a cross-partition action) stay valid: the control
- *    block is refcounted and frees its chunks only when the handle is
- *    gone AND the last live block is released.
+ *    control block, so release() needs no lookup table and blocks
+ *    that outlive their Arena handle (a ProcessRef held past the
+ *    Simulator, a cross-partition action) stay valid. The refcount
+ *    is biased: while the handle lives it holds a large bias that
+ *    remote releases count down from, so they can never reach zero.
+ *    ~Arena (and move-assignment over a live handle) trades the bias
+ *    for the owner's live count, leaving the number of blocks still
+ *    out; the control block frees its chunks when that reaches zero,
+ *    there or at the last later release.
  *  - With no installed arena (or a block larger than the largest size
  *    class) allocation falls through to ::operator new, tagged in the
- *    header so release() routes it back correctly.
- */
+ *    header so release() routes it back correctly. */
 
 #ifndef HOWSIM_SIM_ARENA_HH
 #define HOWSIM_SIM_ARENA_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 

@@ -2,15 +2,11 @@
  * @file
  * Reference scheduler policy: a single binary heap.
  *
- * Entries are kept in a plain std::vector driven by the <algorithm>
- * heap primitives rather than std::priority_queue: priority_queue's
- * top() only exposes a const reference, which forces pop() to *copy*
- * the top entry. Owning the vector lets pop() move the entry out, so
- * the per-event cost is a handful of memcpys of the move-only
- * InlineAction payload — no allocation, no refcounting. Every
- * schedule and pop sifts O(log n) entries, which is what the ladder
- * policy (event_ladder.hh) exists to avoid; the heap remains the
- * oracle the ladder is conformance-tested against.
+ * Keys are kept in a plain std::vector driven by the <algorithm>
+ * heap primitives. Every schedule and pop sifts O(log n) 24-byte
+ * keys (the actions stay in EventQueue's pool), which is what the
+ * ladder policy (event_ladder.hh) exists to avoid; the heap remains
+ * the oracle the ladder is conformance-tested against.
  */
 
 #ifndef HOWSIM_SIM_EVENT_HEAP_HH
@@ -18,7 +14,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "sim/sched.hh"
@@ -33,7 +28,7 @@ class EventHeap
     void
     push(SchedEntry entry)
     {
-        heap.push_back(std::move(entry));
+        heap.push_back(entry);
         std::push_heap(heap.begin(), heap.end(), SchedAfter{});
     }
 
@@ -44,14 +39,14 @@ class EventHeap
     /** Tick of the earliest pending entry. @pre !empty(). */
     Tick minTick() const { return heap.front().when; }
 
-    /** Remove and return the earliest action. @pre !empty(). */
-    InlineAction
+    /** Remove and return the earliest key. @pre !empty(). */
+    SchedEntry
     pop()
     {
         std::pop_heap(heap.begin(), heap.end(), SchedAfter{});
-        InlineAction action = std::move(heap.back().action);
+        SchedEntry entry = heap.back();
         heap.pop_back();
-        return action;
+        return entry;
     }
 
     void reserve(std::size_t n) { heap.reserve(n); }

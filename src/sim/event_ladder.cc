@@ -34,7 +34,7 @@ EventLadder::pushRung(SchedEntry entry)
         if (entry.when < r.end) {
             std::size_t idx = static_cast<std::size_t>(
                 (entry.when - r.base) >> r.widthLog2);
-            r.buckets[idx].push_back(std::move(entry));
+            r.buckets[idx].push_back(entry);
             ++r.count;
             return;
         }
@@ -86,10 +86,8 @@ EventLadder::refillBottom()
                 child.widthLog2 = cw;
                 child.buckets.resize(std::size_t(1)
                                      << (parentLog2 - cw));
-                for (auto &e : bucket) {
-                    child.buckets[(e.when - bstart) >> cw].push_back(
-                        std::move(e));
-                }
+                for (const SchedEntry &e : bucket)
+                    child.buckets[(e.when - bstart) >> cw].push_back(e);
                 child.count = bucket.size();
                 rungs.push_back(std::move(child));
                 continue;
@@ -157,8 +155,8 @@ EventLadder::spillTop()
     r.end = end;
     r.widthLog2 = w;
     r.buckets.resize(nbuckets);
-    for (auto &e : top)
-        r.buckets[(e.when - base) >> w].push_back(std::move(e));
+    for (const SchedEntry &e : top)
+        r.buckets[(e.when - base) >> w].push_back(e);
     r.count = top.size();
     top.clear();
     topStart = end;

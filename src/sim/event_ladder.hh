@@ -26,8 +26,10 @@
  *    sized to its actual span, and draining continues.
  *
  * Every event therefore moves through O(1) appends plus one small
- * heapify, instead of sifting through an O(log n) global heap whose
- * entries are 80 bytes each. Ordering is exact, not approximate:
+ * heapify, instead of sifting through an O(log n) global heap. The
+ * tiers hold 24-byte SchedEntry keys only — the actions stay in
+ * EventQueue's slot pool — so appends, spills, splits and sifts copy
+ * three words per event. Ordering is exact, not approximate:
  * bottom is a strict (tick, seq) priority queue, and the tier ranges
  * are contiguous and disjoint, so the head of bottom is always the
  * global minimum. Drain order is bit-identical to EventHeap
@@ -58,7 +60,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "sim/sched.hh"
@@ -80,7 +81,7 @@ class EventLadder
                 topMin = entry.when;
             if (entry.when > topMax)
                 topMax = entry.when;
-            top.push_back(std::move(entry));
+            top.push_back(entry);
             return;
         }
         if (entry.when < bottomLimit) {
@@ -90,16 +91,16 @@ class EventLadder
                     // Fresh schedules carry the largest seq yet (and
                     // the guard admits only in-order keyed seqs), so
                     // appending keeps the run's drain order exact.
-                    bottom.push_back(std::move(entry));
+                    bottom.push_back(entry);
                     return;
                 }
                 demoteSortedBottom();
             }
-            bottom.push_back(std::move(entry));
+            bottom.push_back(entry);
             std::push_heap(bottom.begin(), bottom.end(), SchedAfter{});
             return;
         }
-        pushRung(std::move(entry));
+        pushRung(entry);
     }
 
     bool empty() const { return events == 0; }
@@ -121,8 +122,8 @@ class EventLadder
                             : bottom.front().when;
     }
 
-    /** Remove and return the earliest action. @pre !empty(). */
-    InlineAction
+    /** Remove and return the earliest key. @pre !empty(). */
+    SchedEntry
     pop()
     {
         if (!bottomSorted) {
@@ -131,26 +132,33 @@ class EventLadder
             if (!bottomSorted) {
                 std::pop_heap(bottom.begin(), bottom.end(),
                               SchedAfter{});
-                InlineAction action =
-                    std::move(bottom.back().action);
+                SchedEntry entry = bottom.back();
                 bottom.pop_back();
                 --events;
-                return action;
+                return entry;
             }
         }
         // Sorted-run fast path: a plain indexed walk, no sifting.
-        InlineAction action = std::move(bottom[bottomPos].action);
+        SchedEntry entry = bottom[bottomPos];
         if (++bottomPos == bottom.size()) {
             bottom.clear();
             bottomPos = 0;
             bottomSorted = false;
         }
         --events;
-        return action;
+        return entry;
     }
 
-    /** Pre-size the far-future tier, where bulk loads land. */
-    void reserve(std::size_t n) { top.reserve(n); }
+    /**
+     * Pre-size the far-future tier, where bulk loads land, and the
+     * drain window that trades buffers with it on a sparse spill.
+     */
+    void
+    reserve(std::size_t n)
+    {
+        top.reserve(n);
+        bottom.reserve(n);
+    }
 
     /**
      * Note that this queue has seen explicitly-sequenced entries

@@ -6,8 +6,12 @@
  * Events are (tick, sequence, action) triples; the sequence number
  * breaks same-tick ties so that events scheduled for the same tick
  * execute in scheduling order, which keeps simulations
- * deterministic. Two interchangeable containers implement the
- * ordering:
+ * deterministic. The queue splits each event in two: its action is
+ * parked in a slot pool (a vector of InlineActions plus a stack of
+ * free slot indices), and a trivially copyable 24-byte key
+ * {tick, seq, slot} goes to the container. An action therefore moves
+ * once in and once out, however often its key is sifted, split or
+ * spilled. Two interchangeable containers implement the ordering:
  *
  *  - EventHeap (event_heap.hh) — the reference binary heap,
  *    O(log n) per operation;
@@ -27,10 +31,12 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <vector>
 
 #include "sim/action.hh"
 #include "sim/event_heap.hh"
 #include "sim/event_ladder.hh"
+#include "sim/logging.hh"
 #include "sim/sched.hh"
 #include "sim/ticks.hh"
 
@@ -43,6 +49,15 @@ class EventQueue
   public:
     using Action = InlineAction;
 
+    /** A popped event: its tick and its action, callable as one. */
+    struct Popped
+    {
+        Tick when;
+        Action action;
+
+        void operator()() { action(); }
+    };
+
     /** Use the HOWSIM_SCHED policy (ladder unless overridden). */
     EventQueue() : EventQueue(defaultSchedPolicy()) {}
 
@@ -50,13 +65,9 @@ class EventQueue
 
     /** Schedule @p action to run at absolute time @p when. */
     void
-    schedule(Tick when, Action action)
+    schedule(Tick when, Action &&action)
     {
-        SchedEntry entry{when, nextSeq++, std::move(action)};
-        if (pol == SchedPolicy::Ladder)
-            ladder.push(std::move(entry));
-        else
-            heap.push(std::move(entry));
+        push({when, nextSeq++, park(std::move(action))});
     }
 
     /**
@@ -80,15 +91,11 @@ class EventQueue
      * drain first at any shared tick.
      */
     void
-    scheduleWithSeq(Tick when, std::uint64_t seq, Action action)
+    scheduleWithSeq(Tick when, std::uint64_t seq, Action &&action)
     {
-        SchedEntry entry{when, seq, std::move(action)};
-        if (pol == SchedPolicy::Ladder) {
+        if (pol == SchedPolicy::Ladder)
             ladder.markExplicitSeqs();
-            ladder.push(std::move(entry));
-        } else {
-            heap.push(std::move(entry));
-        }
+        push({when, seq, park(std::move(action))});
     }
 
     /** True when no events remain. */
@@ -120,16 +127,23 @@ class EventQueue
     }
 
     /**
-     * Remove and return the earliest pending action.
+     * Remove and return the earliest pending event, with its tick.
      * @pre !empty().
      */
-    Action
+    Popped
     pop()
     {
-        return pol == SchedPolicy::Ladder ? ladder.pop() : heap.pop();
+        SchedEntry key =
+            pol == SchedPolicy::Ladder ? ladder.pop() : heap.pop();
+        freeSlots.push_back(key.slot);
+        return {key.when, std::move(pool[key.slot])};
     }
 
-    /** Pre-size the queue for @p n pending events. */
+    /**
+     * Pre-size the queue for @p n pending events: the container, the
+     * action pool and the free-slot stack, so a queue that stays
+     * within @p n pending events schedules without allocating.
+     */
     void
     reserve(std::size_t n)
     {
@@ -137,6 +151,8 @@ class EventQueue
             ladder.reserve(n);
         else
             heap.reserve(n);
+        pool.reserve(n);
+        freeSlots.reserve(n);
     }
 
     /** Total number of events ever scheduled (for stats/tests). */
@@ -157,9 +173,37 @@ class EventQueue
     }
 
   private:
+    /** Move @p action into a free pool slot; return its index. */
+    std::uint32_t
+    park(Action &&action)
+    {
+        if (!freeSlots.empty()) {
+            std::uint32_t slot = freeSlots.back();
+            freeSlots.pop_back();
+            pool[slot] = std::move(action);
+            return slot;
+        }
+        if (pool.size() == UINT32_MAX)
+            panic("EventQueue: more than %u pending events", UINT32_MAX);
+        pool.push_back(std::move(action));
+        return static_cast<std::uint32_t>(pool.size() - 1);
+    }
+
+    void
+    push(SchedEntry key)
+    {
+        if (pol == SchedPolicy::Ladder)
+            ladder.push(key);
+        else
+            heap.push(key);
+    }
+
     SchedPolicy pol;
     EventHeap heap;
     EventLadder ladder;
+    /** Parked actions; a slot is empty while on freeSlots. */
+    std::vector<Action> pool;
+    std::vector<std::uint32_t> freeSlots;
     std::uint64_t nextSeq = 0;
 };
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Scheduler policy selection and the entry type shared by the
+ * Scheduler policy selection and the key type shared by the
  * pluggable event-queue implementations.
  *
  * The simulation kernel ships two interchangeable scheduler policies
@@ -16,8 +16,8 @@
 #define HOWSIM_SIM_SCHED_HH
 
 #include <cstdint>
+#include <type_traits>
 
-#include "sim/action.hh"
 #include "sim/ticks.hh"
 
 namespace howsim::sim
@@ -44,16 +44,22 @@ const char *schedPolicyName(SchedPolicy policy);
 SchedPolicy defaultSchedPolicy();
 
 /**
- * One pending event. The sequence number is a per-queue schedule
- * counter that breaks same-tick ties, keeping simulations
- * deterministic regardless of the underlying container.
+ * The ordering key of one pending event. The sequence number is a
+ * per-queue schedule counter that breaks same-tick ties, keeping
+ * simulations deterministic regardless of the underlying container.
+ * The action itself stays put in EventQueue's slot pool; the
+ * containers only sift, split and spill this 24-byte key, whose
+ * `slot` names the pool entry.
  */
 struct SchedEntry
 {
     Tick when;
     std::uint64_t seq;
-    InlineAction action;
+    std::uint32_t slot;
 };
+
+static_assert(std::is_trivially_copyable_v<SchedEntry>
+              && sizeof(SchedEntry) <= 24);
 
 /** Min-order comparator for the std:: heap algorithms. */
 struct SchedAfter

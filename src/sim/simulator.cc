@@ -564,19 +564,22 @@ Simulator::run(Tick until)
         // The original tight loop: with observability off, the hot
         // path is exactly what it was before obs existed.
         while (!queue.empty() && queue.nextTick() <= until) {
-            currentTick = queue.nextTick();
-            auto action = queue.pop();
+            auto event = queue.pop();
+            currentTick = event.when;
             ++executed;
-            action();
+            event.action();
         }
     } else {
         obs::Timeline &timeline = obsSession->timeline();
-        while (!queue.empty() && queue.nextTick() <= until) {
-            currentTick = queue.nextTick();
-            timeline.maybeSample(currentTick);
-            auto action = queue.pop();
+        while (!queue.empty()) {
+            Tick t = queue.nextTick();
+            if (t > until)
+                break;
+            currentTick = t;
+            timeline.maybeSample(t);
+            auto event = queue.pop();
             ++executed;
-            action();
+            event.action();
         }
         obsSession->metrics()
             .gauge("sim.events_executed")
@@ -640,9 +643,9 @@ Simulator::partitionLoop(int p, Tick until)
                 part.lastTick = t;
                 if (timeline)
                     timeline->maybeSample(t);
-                auto action = q.pop();
+                auto event = q.pop();
                 ++part.executedRun;
-                action();
+                event.action();
             }
         } catch (...) {
             // An exception escaped an event action (process bodies

@@ -2,15 +2,17 @@
  * @file
  * Arena allocator unit tests: size-class recycling, alignment,
  * oversize fallback, reset semantics, move-only handle behavior,
- * cross-thread release, and blocks outliving their Arena handle —
- * the exact lifetime the simulator relies on when a ProcessRef (and
- * its coroutine frame) is held past the Simulator's destruction.
+ * owner-path and cross-thread release (and the two interleaved), and
+ * blocks outliving their Arena handle — the exact lifetime the
+ * simulator relies on when a ProcessRef (and its coroutine frame) is
+ * held past the Simulator's destruction.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -204,6 +206,134 @@ TEST(Arena, BlocksOutliveTheArenaHandle)
     for (int i = 0; i < 512; ++i)
         ASSERT_EQ(static_cast<unsigned char *>(p)[i], 0x77u);
     Arena::release(p);
+}
+
+TEST(Arena, OwnerAndRemoteReleasesInterleave)
+{
+    Arena arena;
+    ArenaScope scope(&arena);
+    constexpr std::size_t n = 2000;
+    constexpr std::size_t bytes = 192;
+    std::vector<void *> blocks(n);
+    for (void *&p : blocks)
+        p = arena.allocate(bytes);
+
+    // Odd blocks go back from another thread while the owner keeps
+    // allocating (draining whatever has reached the remote list so
+    // far) and then releases the even ones on its own free list.
+    std::thread remote([&blocks] {
+        for (std::size_t i = 1; i < n; i += 2)
+            Arena::release(blocks[i]);
+    });
+    std::vector<void *> fresh(n / 4);
+    for (void *&p : fresh)
+        p = arena.allocate(bytes);
+    for (std::size_t i = 0; i < n; i += 2)
+        Arena::release(blocks[i]);
+    remote.join();
+
+    std::set<void *> evens;
+    for (std::size_t i = 0; i < n; i += 2)
+        evens.insert(blocks[i]);
+    std::set<void *> freshSet(fresh.begin(), fresh.end());
+    EXPECT_EQ(freshSet.size(), fresh.size());
+    for (void *p : fresh)
+        EXPECT_EQ(evens.count(p), 0u) << "block handed out twice";
+    EXPECT_EQ(arena.stats().live, fresh.size());
+    for (void *p : fresh)
+        Arena::release(p);
+    EXPECT_EQ(arena.stats().live, 0u);
+
+    // Every block is free again, so the owner recycles them all
+    // (remotely released ones included) without carving new memory.
+    std::set<void *> known(blocks.begin(), blocks.end());
+    known.insert(fresh.begin(), fresh.end());
+    Arena::Stats before = arena.stats();
+    std::vector<void *> again(known.size());
+    for (void *&p : again)
+        p = arena.allocate(bytes);
+    Arena::Stats after = arena.stats();
+    EXPECT_EQ(after.bytesReserved, before.bytesReserved);
+    EXPECT_EQ(after.freelistHits - before.freelistHits, known.size());
+    EXPECT_EQ(std::set<void *>(again.begin(), again.end()), known);
+    for (void *p : again)
+        Arena::release(p);
+    EXPECT_EQ(arena.stats().live, 0u);
+}
+
+TEST(Arena, OwnerThreadReleaseAfterTheHandleDies)
+{
+    void *small = nullptr;
+    void *big = nullptr;
+    void *kept = nullptr;
+    {
+        Arena arena;
+        ArenaScope scope(&arena);
+        small = arena.allocate(100);
+        big = arena.allocate(Arena::maxBlockBytes + 1);
+        kept = arena.allocate(100);
+        Arena::release(kept); // owner path while the handle lives
+        kept = arena.allocate(100);
+        std::memset(small, 0x3c, 100);
+    }
+    // Same thread, handle gone (and another arena installed): the
+    // releases must find the control block alive and free it after
+    // the last one.
+    Arena other;
+    ArenaScope scope(&other);
+    for (int i = 0; i < 100; ++i)
+        ASSERT_EQ(static_cast<unsigned char *>(small)[i], 0x3cu);
+    Arena::release(big);
+    Arena::release(kept);
+    Arena::release(small);
+    EXPECT_EQ(other.stats().live, 0u);
+}
+
+TEST(Arena, MovedToArenaKeepsServingAndCounting)
+{
+    Arena a;
+    void *p = a.allocate(200);
+    void *q = a.allocate(200);
+    Arena b(std::move(a));
+    {
+        ArenaScope scope(&b);
+        Arena::release(p); // owner path through the new handle
+        EXPECT_EQ(b.stats().live, 1u);
+        void *r = b.allocate(200);
+        EXPECT_EQ(r, p);
+        Arena::release(r);
+    }
+    std::thread([q] { Arena::release(q); }).join();
+    EXPECT_EQ(b.stats().live, 0u);
+
+    // Move-assignment over a handle with a block still out: that
+    // block must stay valid and free its old arena when released.
+    Arena c;
+    void *s = c.allocate(64);
+    std::memset(s, 0x11, 64);
+    void *t = b.allocate(64);
+    c = std::move(b);
+    EXPECT_EQ(c.stats().live, 1u);
+    EXPECT_EQ(static_cast<unsigned char *>(s)[63], 0x11u);
+    std::thread([s] { Arena::release(s); }).join();
+    Arena::release(t);
+    EXPECT_EQ(c.stats().live, 0u);
+}
+
+TEST(ArenaDeathTest, ResetPanicsWhileARemotelyHeldBlockIsLive)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Arena arena;
+    void *held = arena.allocate(64);
+    void *gone = arena.allocate(64);
+    // One block comes back from another thread; the other is still
+    // held there. Remote releases must not mask it.
+    std::thread([gone] { Arena::release(gone); }).join();
+    EXPECT_EQ(arena.stats().live, 1u);
+    EXPECT_DEATH(arena.reset(), "1 live");
+    std::thread([held] { Arena::release(held); }).join();
+    arena.reset();
+    EXPECT_EQ(arena.stats().live, 0u);
 }
 
 TEST(ArenaDeathTest, ResetWithLiveAllocationsPanics)

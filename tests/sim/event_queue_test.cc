@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -236,7 +237,7 @@ TEST(EventQueue, HeapCaptureDestroyedExactlyOnce)
 TEST(EventQueue, SiftingThroughTheHeapPreservesCaptures)
 {
     // Schedule in reverse tick order so every push sifts past the
-    // existing entries, exercising InlineAction relocation.
+    // existing keys; the pooled captures must come out intact.
     EventQueue q;
     int alive = 0;
     std::vector<int> order;
@@ -252,6 +253,77 @@ TEST(EventQueue, SiftingThroughTheHeapPreservesCaptures)
     EXPECT_EQ(alive, 0);
     for (int i = 0; i < 64; ++i)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+// The containers sift, split and spill keys only; the actions stay in
+// the queue's slot pool.
+static_assert(std::is_trivially_copyable_v<SchedEntry>);
+static_assert(sizeof(SchedEntry) <= 24);
+
+TEST(EventQueue, PopReturnsTheEventsTick)
+{
+    EventQueue q;
+    int hits = 0;
+    q.schedule(9, [&hits] { ++hits; });
+    q.schedule(4, [&hits] { hits += 10; });
+    auto first = q.pop();
+    EXPECT_EQ(first.when, 4u);
+    first();
+    auto second = q.pop();
+    EXPECT_EQ(second.when, 9u);
+    second();
+    EXPECT_EQ(hits, 11);
+}
+
+TEST(EventQueue, ReservedHoldLoopDoesNotAllocate)
+{
+    // The classic hold model at a steady depth: pop one event and
+    // schedule its successor a pseudo-random delay ahead. Once
+    // reserve() has sized the container, the action pool and the
+    // free-slot stack for the depth, neither the fill nor the loop
+    // may allocate, under either policy.
+    constexpr std::size_t depth = 64;
+    for (SchedPolicy policy : {SchedPolicy::Ladder, SchedPolicy::Heap}) {
+        EventQueue q(policy);
+        q.reserve(depth);
+        std::uint64_t state = 12345;
+        auto delayAhead = [&state] {
+            state = state * 6364136223846793005ull
+                    + 1442695040888963407ull;
+            return static_cast<Tick>((state >> 33) % 1000 + 1);
+        };
+        std::uint64_t sum = 0;
+        std::size_t before = newCalls;
+        for (std::size_t i = 0; i < depth; ++i)
+            q.schedule(delayAhead(), [&sum] { ++sum; });
+        for (int i = 0; i < 100000; ++i) {
+            auto event = q.pop();
+            event();
+            q.schedule(event.when + delayAhead(), [&sum] { ++sum; });
+        }
+        std::size_t after = newCalls;
+        EXPECT_EQ(after, before) << schedPolicyName(policy);
+        EXPECT_EQ(q.size(), depth);
+        EXPECT_EQ(sum, 100000u);
+    }
+}
+
+TEST(EventQueue, PendingPooledActionsDestroyedOnceWithTheQueue)
+{
+    int alive = 0;
+    {
+        EventQueue q;
+        // Interleave pops so pending actions sit in recycled slots as
+        // well as fresh ones.
+        for (int i = 0; i < 32; ++i)
+            q.schedule(static_cast<Tick>(i), Probe(&alive));
+        for (int i = 0; i < 16; ++i)
+            q.pop()();
+        for (int i = 0; i < 8; ++i)
+            q.schedule(static_cast<Tick>(100 + i), BigProbe(&alive));
+        EXPECT_EQ(alive, 24);
+    }
+    EXPECT_EQ(alive, 0);
 }
 
 TEST(InlineAction, MoveTransfersOwnership)

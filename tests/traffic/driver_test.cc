@@ -181,6 +181,21 @@ TEST(TrafficDriver, FaultedPlanStaysDeterministic)
     EXPECT_EQ(a.lastCompletion, b.lastCompletion);
 }
 
+TEST(TrafficDriver, NetFaultedPlanOnActiveDisksStaysDeterministic)
+{
+    // A net fault plan makes the Active Disk array look up the obs
+    // session while it is built inside runTraffic: the path the
+    // sanitizer job must see.
+    ExperimentConfig config = configFor(Arch::ActiveDisk, kOpenSpec);
+    config.faults = "seed=11,disk.media.rate=5e-3,"
+                    "net.drop.rate=1e-3";
+    TrafficResult a = traffic::runTraffic(config);
+    TrafficResult b = traffic::runTraffic(config);
+    EXPECT_GT(a.completed, 0u);
+    EXPECT_EQ(a.fingerprint, b.fingerprint);
+    EXPECT_EQ(a.lastCompletion, b.lastCompletion);
+}
+
 TEST(TrafficDriverDeath, MissingPlanIsFatal)
 {
     unsetenv("HOWSIM_TRAFFIC");
