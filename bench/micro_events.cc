@@ -14,12 +14,12 @@
  *  2. A scheduler head-to-head — the classic hold model (pop one
  *     event, schedule its successor a pseudo-random delay ahead) at
  *     steady queue depths spanning what the fig-scale benches
- *     sustain, run against both SchedPolicy::Heap and
- *     SchedPolicy::Ladder. The delay distribution mixes the µs–ms
- *     bands real disk/net events occupy with a far-future tail so
- *     the ladder's top tier and rung splits are exercised, and it is
- *     identical under both policies, so the numbers differ only by
- *     scheduler cost.
+ *     sustain, run against the simulator's EventQueue (the ladder)
+ *     and the binary-heap test oracle (tests/oracle/event_heap.hh).
+ *     The delay distribution mixes the µs–ms bands real disk/net
+ *     events occupy with a far-future tail so the ladder's top tier
+ *     and rung splits are exercised, and it is identical for both
+ *     queues, so the numbers differ only by scheduler cost.
  *
  * With --check[=pct] the binary exits non-zero unless the ladder
  * beats the heap by at least <pct> percent (default 10) at the
@@ -39,6 +39,7 @@
 #include <string>
 
 #include "core/bench_harness.hh"
+#include "oracle/event_heap.hh"
 #include "sim/awaitables.hh"
 #include "sim/coro.hh"
 #include "sim/event_queue.hh"
@@ -47,6 +48,7 @@
 
 using namespace howsim;
 using namespace howsim::sim;
+using howsim::oracle::HeapQueue;
 
 namespace
 {
@@ -231,17 +233,18 @@ struct DelayStream
  * shape (a completion handler resumes a coroutine that immediately
  * schedules another handler). The ladder serves this from its sorted
  * run bottom (O(1) indexed pops and O(1) same-tick appends, arena
- * payloads); the heap sifts every pop. Both policies drain in the
+ * payloads); the heap sifts every pop. Both queues drain in the
  * same order, so the difference is pure batching.
  */
+template <typename Queue>
 double
-burstEventsPerSec(SchedPolicy policy, int batches, int perBatch)
+burstEventsPerSec(int batches, int perBatch)
 {
     std::uint64_t sink = 0;
     std::uint64_t ops = 0;
     auto start = std::chrono::steady_clock::now();
     for (int b = 0; b < batches; ++b) {
-        EventQueue q(policy);
+        Queue q;
         q.reserve(static_cast<std::size_t>(perBatch));
         const Tick burst = milliseconds(5);
         for (int i = 0; i < perBatch; ++i)
@@ -262,15 +265,15 @@ burstEventsPerSec(SchedPolicy policy, int batches, int perBatch)
 
 /**
  * Hold model: steady depth, each pop schedules one successor. The
- * delay stream depends only on the call sequence and both policies
+ * delay stream depends only on the call sequence and both queues
  * drain in identical order, so the event population is the same and
  * the measured difference is pure scheduler cost.
  */
+template <typename Queue>
 double
-holdEventsPerSec(SchedPolicy policy, std::size_t depth,
-                 std::uint64_t ops)
+holdEventsPerSec(std::size_t depth, std::uint64_t ops)
 {
-    EventQueue q(policy);
+    Queue q;
     q.reserve(depth);
     DelayStream delays(depth);
     std::uint64_t sink = 0;
@@ -335,11 +338,9 @@ main(int argc, char **argv)
         double heap = 0, ladder = 0;
         for (int r = 0; r < kHoldReps; ++r) {
             heap = std::max(
-                heap, holdEventsPerSec(SchedPolicy::Heap, depth,
-                                       kHoldOps));
+                heap, holdEventsPerSec<HeapQueue>(depth, kHoldOps));
             ladder = std::max(
-                ladder, holdEventsPerSec(SchedPolicy::Ladder, depth,
-                                         kHoldOps));
+                ladder, holdEventsPerSec<EventQueue>(depth, kHoldOps));
         }
         double speedupPct = (ladder / heap - 1.0) * 100.0;
         std::printf("  %8zu %14.3g %14.3g %+8.1f%%\n", depth, heap,
@@ -359,11 +360,10 @@ main(int argc, char **argv)
     // batching (or the arena behind it) has regressed.
     double burstHeap = 0, burstLadder = 0;
     for (int r = 0; r < kHoldReps; ++r) {
-        burstHeap = std::max(
-            burstHeap, burstEventsPerSec(SchedPolicy::Heap, 20, 20000));
+        burstHeap = std::max(burstHeap,
+                             burstEventsPerSec<HeapQueue>(20, 20000));
         burstLadder = std::max(
-            burstLadder,
-            burstEventsPerSec(SchedPolicy::Ladder, 20, 20000));
+            burstLadder, burstEventsPerSec<EventQueue>(20, 20000));
     }
     double burstSpeedupPct = (burstLadder / burstHeap - 1.0) * 100.0;
     std::printf("\nsame-tick burst (batched drain) head-to-head\n");
@@ -383,7 +383,7 @@ main(int argc, char **argv)
     if (checkPct >= 0.0 && burstSpeedupPct < 0.0) {
         std::fprintf(stderr,
                      "FAIL: batched same-tick drain %.1f%% slower "
-                     "than the heap reference\n",
+                     "than the heap oracle\n",
                      -burstSpeedupPct);
         return 1;
     }

@@ -1,10 +1,11 @@
 /**
  * @file
- * Interconnect transfer-engine head-to-head: the coroutine reference
- * path vs the calendar fast path (HOWSIM_XFER) on the same simulated
- * traffic. Both engines produce bit-identical simulated results
- * (DESIGN.md §12); this benchmark quantifies the host-time difference
- * and feeds it to BENCH_events.json.
+ * Interconnect transfer-engine head-to-head: net::Network's calendar
+ * engine vs the coroutine-per-frame test oracle
+ * (tests/oracle/coro_bus.hh) on the same simulated traffic. Both
+ * produce bit-identical simulated results (DESIGN.md §12); this
+ * benchmark quantifies the host-time difference and feeds it to
+ * BENCH_events.json.
  *
  * Scenarios:
  *
@@ -24,7 +25,7 @@
  *    path, bounding how much of the win survives contention.
  *
  * With --check[=pct] the binary exits non-zero unless the calendar
- * engine beats the coroutine engine by at least <pct> percent
+ * engine beats the coroutine oracle by at least <pct> percent
  * (default 25) wall-time on the uncontended pairs128 scenario — CI's
  * regression gate for the transfer fast path.
  */
@@ -36,14 +37,15 @@
 #include <cstring>
 #include <string>
 
-#include "bus/xfer.hh"
 #include "core/bench_harness.hh"
 #include "net/network.hh"
+#include "oracle/coro_bus.hh"
 #include "sim/coro.hh"
 #include "sim/simulator.hh"
 
 using namespace howsim;
 using namespace howsim::sim;
+using howsim::oracle::CoroNetwork;
 
 namespace
 {
@@ -73,17 +75,15 @@ secondsSince(std::chrono::steady_clock::time_point start)
 }
 
 /** 64 disjoint same-edge pairs, sequential 256 KiB streams. */
+template <typename NetT>
 RunCost
-runPairs(bus::XferPolicy policy, int hosts, int msgs,
-         std::uint64_t bytes)
+runPairs(int hosts, int msgs, std::uint64_t bytes)
 {
     auto start = std::chrono::steady_clock::now();
     RunCost cost;
     {
         Simulator sim;
-        net::NetParams params;
-        params.xfer = policy;
-        net::Network fabric(sim, hosts, params);
+        NetT fabric(sim, hosts);
         auto sender = [&fabric](int src, int dst, int n,
                                 std::uint64_t sz) -> Coro<void> {
             for (int i = 0; i < n; ++i)
@@ -99,16 +99,15 @@ runPairs(bus::XferPolicy policy, int hosts, int msgs,
 }
 
 /** One client/server pair, cross-edge, strict request-response. */
+template <typename NetT>
 RunCost
-runSolo(bus::XferPolicy policy, int rounds, std::uint64_t bytes)
+runSolo(int rounds, std::uint64_t bytes)
 {
     auto start = std::chrono::steady_clock::now();
     RunCost cost;
     {
         Simulator sim;
-        net::NetParams params;
-        params.xfer = policy;
-        net::Network fabric(sim, 32, params);
+        NetT fabric(sim, 32);
         auto client = [&fabric](int n, std::uint64_t sz) -> Coro<void> {
             for (int i = 0; i < n; ++i) {
                 co_await fabric.transport(0, 17, sz); // request
@@ -124,16 +123,15 @@ runSolo(bus::XferPolicy policy, int rounds, std::uint64_t bytes)
 }
 
 /** Sixteen senders into one receiver NIC: sustained queueing. */
+template <typename NetT>
 RunCost
-runFanIn(bus::XferPolicy policy, int msgs, std::uint64_t bytes)
+runFanIn(int msgs, std::uint64_t bytes)
 {
     auto start = std::chrono::steady_clock::now();
     RunCost cost;
     {
         Simulator sim;
-        net::NetParams params;
-        params.xfer = policy;
-        net::Network fabric(sim, 17, params);
+        NetT fabric(sim, 17);
         auto sender = [&fabric](int src, int n,
                                 std::uint64_t sz) -> Coro<void> {
             for (int i = 0; i < n; ++i)
@@ -184,20 +182,14 @@ main(int argc, char **argv)
         RunCost calendar;
     } scenarios[] = {
         {"pairs128",
-         best([] { return runPairs(bus::XferPolicy::Coro, 128, 64,
-                                   256 * 1024); }),
-         best([] { return runPairs(bus::XferPolicy::Calendar, 128, 64,
-                                   256 * 1024); })},
+         best([] { return runPairs<CoroNetwork>(128, 64, 256 * 1024); }),
+         best([] { return runPairs<net::Network>(128, 64, 256 * 1024); })},
         {"solo",
-         best([] { return runSolo(bus::XferPolicy::Coro, 2000,
-                                  1 << 20); }),
-         best([] { return runSolo(bus::XferPolicy::Calendar, 2000,
-                                  1 << 20); })},
+         best([] { return runSolo<CoroNetwork>(2000, 1 << 20); }),
+         best([] { return runSolo<net::Network>(2000, 1 << 20); })},
         {"fanin16",
-         best([] { return runFanIn(bus::XferPolicy::Coro, 64,
-                                   256 * 1024); }),
-         best([] { return runFanIn(bus::XferPolicy::Calendar, 64,
-                                   256 * 1024); })},
+         best([] { return runFanIn<CoroNetwork>(64, 256 * 1024); }),
+         best([] { return runFanIn<net::Network>(64, 256 * 1024); })},
     };
 
     std::printf("transfer-engine head-to-head "

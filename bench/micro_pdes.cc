@@ -57,7 +57,7 @@ cascadeRun(int pdes, int hops, double *stallPct)
 {
     constexpr sim::Tick lookahead = sim::microseconds(10);
     constexpr int groups = 4;
-    sim::Simulator simulator(sim::defaultSchedPolicy(), pdes);
+    sim::Simulator simulator(pdes);
     simulator.setLookahead(lookahead);
     std::vector<std::uint64_t> delivered(
         static_cast<std::size_t>(pdes));

@@ -110,7 +110,7 @@ syntheticSweep(int hops)
                 "speedup", "windows", "mailbox", "stall");
     double serialWall = 0;
     for (int pdes : {1, 2, 4}) {
-        sim::Simulator simulator(sim::defaultSchedPolicy(), pdes);
+        sim::Simulator simulator(pdes);
         simulator.setLookahead(lookahead);
         std::vector<std::uint64_t> delivered(
             static_cast<std::size_t>(pdes));

@@ -1,10 +1,6 @@
 #include "bus/bus.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "obs/obs.hh"
-#include "sim/awaitables.hh"
 #include "sim/logging.hh"
 
 namespace howsim::bus
@@ -13,35 +9,7 @@ namespace howsim::bus
 namespace
 {
 
-/**
- * Conformance trace (HOWSIM_BUSLOG=<path>): every bus logs one line
- * per construction ("B id name chN"), arrival ("A id tick bytes"),
- * grant ("G id tick bytes") and completion ("C id tick bytes"), at
- * source positions that correspond between the two transfer engines.
- * Diffing the files from a coro run and a calendar run of the same
- * workload pinpoints the first divergent intra-tick ordering; this is
- * the debugging technique behind the equivalence argument in
- * DESIGN.md §12. Off (null) unless the variable is set.
- */
-std::FILE *
-conformanceLog()
-{
-    static std::FILE *f = [] {
-        const char *p = std::getenv("HOWSIM_BUSLOG");
-        return p ? std::fopen(p, "w") : nullptr;
-    }();
-    return f;
-}
-
-/** Stable per-process bus id for the conformance trace. */
-int
-nextBusId()
-{
-    static int n = 0;
-    return n++;
-}
-
-/** Validate before the Resource member is constructed from it. */
+/** Validate before the channel vectors are sized from it. */
 const BusParams &
 validated(const BusParams &params)
 {
@@ -58,41 +26,27 @@ validated(const BusParams &params)
 
 Bus::Bus(sim::Simulator &s, BusParams params)
     : simulator(s), busParams(validated(params)),
-      slots(busParams.channels),
       chanEnd(static_cast<std::size_t>(busParams.channels), 0),
       chanBusy(static_cast<std::size_t>(busParams.channels), 0)
 {
-    dbgId = nextBusId();
-    dbgLog = conformanceLog();
-    if (dbgLog)
-        std::fprintf(dbgLog, "B %d %s ch%d\n", dbgId,
-                     busParams.name.c_str(), busParams.channels);
     if (obs::Session *session = obs::session()) {
         obs::Scope scope(session->metrics(), busParams.name);
         obsBytes = &scope.counter("bytes");
         obsTransfers = &scope.counter("transfers");
         if (busParams.probeTimeline) {
-            if (busParams.xfer == XferPolicy::Coro) {
-                slots.observe(busParams.name);
-            } else {
-                obsSess = session;
-                obsWait = &session->metrics().histogram(
-                    busParams.name + ".wait_ticks");
-                obsDepth = &session->metrics().histogram(
-                    busParams.name + ".queue_depth");
-                session->timeline().probe(
-                    busParams.name + ".queue_len",
-                    [this] {
-                        return static_cast<double>(pending.size());
-                    },
-                    this);
-                session->timeline().probe(
-                    busParams.name + ".in_use",
-                    [this] {
-                        return static_cast<double>(activeCount);
-                    },
-                    this);
-            }
+            obsSess = session;
+            obsWait = &session->metrics().histogram(
+                busParams.name + ".wait_ticks");
+            obsDepth = &session->metrics().histogram(
+                busParams.name + ".queue_depth");
+            session->timeline().probe(
+                busParams.name + ".queue_len",
+                [this] { return static_cast<double>(pending.size()); },
+                this);
+            session->timeline().probe(
+                busParams.name + ".in_use",
+                [this] { return static_cast<double>(activeCount); },
+                this);
         }
     }
 }
@@ -108,42 +62,14 @@ Bus::~Bus()
 Bus::Transfer
 Bus::transfer(std::uint64_t bytes)
 {
-    if (busParams.xfer == XferPolicy::Coro)
-        return Transfer(transferCoro(bytes));
     return Transfer(this, bytes);
 }
 
-sim::Coro<void>
-Bus::transferCoro(std::uint64_t bytes)
-{
-    if (dbgLog)
-        std::fprintf(dbgLog, "A %d %llu %llu\n", dbgId,
-                     (unsigned long long)simulator.now(),
-                     (unsigned long long)bytes);
-    co_await slots.acquire(1);
-    if (dbgLog)
-        std::fprintf(dbgLog, "G %d %llu %llu\n", dbgId,
-                     (unsigned long long)simulator.now(),
-                     (unsigned long long)bytes);
-    sim::Tick occupancy = occupancyTicks(bytes);
-    co_await sim::delay(occupancy);
-    if (dbgLog)
-        std::fprintf(dbgLog, "C %d %llu %llu\n", dbgId,
-                     (unsigned long long)simulator.now(),
-                     (unsigned long long)bytes);
-    slots.release(1);
-    ++accumulated.transfers;
-    accumulated.bytes += bytes;
-    accumulated.busyTicks += occupancy;
-    if (obsBytes) {
-        obsBytes->add(bytes);
-        obsTransfers->add();
-    }
-}
-
 // ---------------------------------------------------------------
-// Calendar engine. The comments relate each step to the coroutine
-// reference path; DESIGN.md §12 has the full equivalence argument.
+// Calendar engine. The comments relate each step to the reference
+// model (tests/oracle/coro_bus.hh: a Resource acquire / delay /
+// release per transfer); DESIGN.md §12 has the full equivalence
+// argument.
 // ---------------------------------------------------------------
 
 Bus::Rec *
@@ -195,9 +121,6 @@ Bus::integrate(sim::Tick now)
 void
 Bus::bookAsync(std::uint64_t bytes, sim::InlineAction done)
 {
-    if (busParams.xfer != XferPolicy::Calendar)
-        panic("Bus '%s': bookAsync on the coroutine path",
-              busParams.name.c_str());
     if (resv) {
         // A closed-form booking is layered on this bus; turn it back
         // into ordinary calendar state before queueing behind it.
@@ -207,10 +130,6 @@ Bus::bookAsync(std::uint64_t bytes, sim::InlineAction done)
                   busParams.name.c_str());
     }
     sim::Tick now = simulator.now();
-    if (dbgLog)
-        std::fprintf(dbgLog, "A %d %llu %llu\n", dbgId,
-                     (unsigned long long)now,
-                     (unsigned long long)bytes);
     Rec *r = allocRec();
     r->bytes = bytes;
     r->occ = occupancyTicks(bytes);
@@ -232,10 +151,6 @@ Bus::bookAsync(std::uint64_t bytes, sim::InlineAction done)
 void
 Bus::grantNow(Rec *r, sim::Tick now)
 {
-    if (dbgLog)
-        std::fprintf(dbgLog, "G %d %llu %llu\n", dbgId,
-                     (unsigned long long)now,
-                     (unsigned long long)r->bytes);
     integrate(now);
     ++activeCount;
     int c = freeChannelMinEnd();
@@ -256,10 +171,6 @@ void
 Bus::onComplete(Rec *r)
 {
     sim::Tick now = simulator.now();
-    if (dbgLog)
-        std::fprintf(dbgLog, "C %d %llu %llu\n", dbgId,
-                     (unsigned long long)now,
-                     (unsigned long long)r->bytes);
     // Mirror Resource::release exactly: free the channel and grant
     // queued transfers *synchronously*, before statistics and before
     // the completed transfer's continuation runs. The pop must not be
@@ -313,10 +224,6 @@ Bus::grantChannel(Rec *r, sim::Tick now)
 void
 Bus::onWake(Rec *r)
 {
-    if (dbgLog)
-        std::fprintf(dbgLog, "G %d %llu %llu\n", dbgId,
-                     (unsigned long long)simulator.now(),
-                     (unsigned long long)r->bytes);
     simulator.scheduleAt(simulator.now() + r->occ,
                          sim::InlineAction([this, r] {
                              onComplete(r);

@@ -11,14 +11,13 @@
  * busy, which is what turns a shared 200 MB/s interconnect into the
  * SMP bottleneck the paper measures.
  *
- * Two interchangeable transfer engines implement those semantics
- * (BusParams::xfer, HOWSIM_XFER): the reference coroutine path
- * (Resource acquire / delay / release per transfer) and the calendar
- * path, which books the same FIFO schedule arithmetically from
- * per-channel busy-until ticks and schedules only completion events.
- * Grant order, timing, statistics and observability output are
- * identical between the two; DESIGN.md §12 gives the equivalence
- * argument.
+ * The transfer engine is a calendar: it books the FIFO channel
+ * schedule arithmetically from per-channel busy-until ticks and
+ * schedules only completion events, with no coroutine per transfer.
+ * Grant order, timing and statistics are those of the plain model —
+ * one Resource acquire / delay / release per transfer — which
+ * tests/oracle/coro_bus.hh keeps as the reference the calendar is
+ * conformance-tested against (DESIGN.md §12).
  */
 
 #ifndef HOWSIM_BUS_BUS_HH
@@ -26,15 +25,11 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <cstdio>
 #include <deque>
 #include <string>
 #include <vector>
 
-#include "bus/xfer.hh"
 #include "sim/action.hh"
-#include "sim/coro.hh"
-#include "sim/resource.hh"
 #include "sim/simulator.hh"
 #include "sim/ticks.hh"
 
@@ -61,9 +56,6 @@ struct BusParams
 
     /** Per-transfer arbitration/startup latency. */
     sim::Tick startup = sim::microseconds(1);
-
-    /** Transfer engine; defaults to HOWSIM_XFER (calendar). */
-    XferPolicy xfer = defaultXferPolicy();
 
     /**
      * Register occupancy timeline probes with the observability
@@ -178,10 +170,10 @@ class Bus
     Transfer transfer(std::uint64_t bytes);
 
     /**
-     * Calendar engine only: book a transfer at the current tick and
-     * invoke @p done inside the completion event, after statistics
-     * are applied — the position a coroutine awaiting transfer()
-     * resumes at. Queues FIFO behind pending bookings.
+     * Book a transfer at the current tick and invoke @p done inside
+     * the completion event, after statistics are applied — the
+     * position a coroutine awaiting transfer() resumes at. Queues
+     * FIFO behind pending bookings.
      */
     void bookAsync(std::uint64_t bytes, sim::InlineAction done);
 
@@ -208,27 +200,15 @@ class Bus
      * Transfers currently waiting for a channel. Frames covered by an
      * installed Reservation are not counted until it settles.
      */
-    std::size_t
-    queueLength() const
-    {
-        return busParams.xfer == XferPolicy::Coro ? slots.queueLength()
-                                                  : pending.size();
-    }
+    std::size_t queueLength() const { return pending.size(); }
 
     /** Aggregate time transfers spent waiting for a channel. */
-    sim::Tick
-    totalWait() const
-    {
-        return busParams.xfer == XferPolicy::Coro ? slots.totalWait()
-                                                  : waitTicks;
-    }
+    sim::Tick totalWait() const { return waitTicks; }
 
     /** Fraction of channel capacity in use over @p elapsed ticks. */
     double
     utilization(sim::Tick elapsed) const
     {
-        if (busParams.xfer == XferPolicy::Coro)
-            return slots.utilization(elapsed);
         if (elapsed == 0)
             return 0.0;
         return static_cast<double>(busyUnitTicks)
@@ -253,18 +233,18 @@ class Bus
     Reservation *reservation() const { return resv; }
 
     /**
-     * True when a closed-form booking may be layered on this bus:
-     * calendar engine, no reservation installed, nothing queued or
-     * in service, and the caller is the sole registered client.
+     * True when a closed-form booking may be layered on this bus: no
+     * reservation installed, nothing queued or in service, and the
+     * caller is the sole registered client.
      */
     bool
     calendarQuiet() const
     {
-        return busParams.xfer == XferPolicy::Calendar && !resv
-               && pending.empty() && activeCount == 0 && clients == 1;
+        return !resv && pending.empty() && activeCount == 0
+               && clients == 1;
     }
 
-    /** Per-channel busy-until ticks (calendar engine). */
+    /** Per-channel busy-until ticks. */
     const std::vector<sim::Tick> &channelEnds() const { return chanEnd; }
 
     /** Install @p r; @pre calendarQuiet(). */
@@ -303,40 +283,29 @@ class Bus
                              std::size_t queued_depth,
                              sim::InlineAction done);
 
-    /** Calendar-engine awaitable / coroutine-path wrapper. */
+    /** Awaitable returned by transfer(): books on suspension. */
     class Transfer
     {
       public:
-        explicit Transfer(sim::Coro<void> c) : inner(std::move(c)) {}
-
         Transfer(Bus *b, std::uint64_t n) : target(b), nbytes(n) {}
 
         bool await_ready() const noexcept { return false; }
 
-        std::coroutine_handle<>
+        void
         await_suspend(std::coroutine_handle<> cont)
         {
-            if (inner.valid())
-                return inner.operator co_await().await_suspend(cont);
             target->bookAsync(nbytes, sim::InlineAction(cont));
-            return std::noop_coroutine();
         }
 
-        void
-        await_resume()
-        {
-            if (inner.valid())
-                inner.operator co_await().await_resume();
-        }
+        void await_resume() const noexcept {}
 
       private:
-        sim::Coro<void> inner; //!< engaged on the coroutine path
-        Bus *target = nullptr;
-        std::uint64_t nbytes = 0;
+        Bus *target;
+        std::uint64_t nbytes;
     };
 
   private:
-    /** Pooled per-booking record (calendar engine). */
+    /** Pooled per-booking record. */
     struct Rec
     {
         std::uint64_t bytes;
@@ -346,8 +315,6 @@ class Bus
         sim::InlineAction done;
         Rec *nextFree;
     };
-
-    sim::Coro<void> transferCoro(std::uint64_t bytes);
 
     Rec *allocRec();
     void freeRec(Rec *r);
@@ -365,10 +332,8 @@ class Bus
 
     sim::Simulator &simulator;
     BusParams busParams;
-    sim::Resource slots;
     BusStats accumulated;
 
-    // Calendar engine state (unused on the coroutine path).
     std::vector<sim::Tick> chanEnd; //!< last booked end per channel
     std::vector<int> chanBusy;      //!< outstanding completion events
     int activeCount = 0;
@@ -378,9 +343,6 @@ class Bus
     Reservation *resv = nullptr;
     int clients = 0; //!< registered prospective bookers
 
-    // Conformance trace (HOWSIM_BUSLOG); see bus.cc. Null when off.
-    std::FILE *dbgLog = nullptr;
-    int dbgId = -1;
     sim::Tick waitTicks = 0;
     sim::Tick lastChange = 0;
     std::uint64_t busyUnitTicks = 0;

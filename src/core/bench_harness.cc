@@ -6,11 +6,9 @@
 #include <thread>
 #include <sstream>
 
-#include "bus/xfer.hh"
 #include "core/runner.hh"
 #include "sim/logging.hh"
 #include "sim/partition.hh"
-#include "sim/sched.hh"
 #include "sim/simulator.hh"
 
 namespace howsim::core
@@ -114,13 +112,10 @@ BenchHarness::~BenchHarness()
     // parallel entry: a pdes > 1 run on a 1-CPU host (CI) measures
     // overhead, not speedup (docs/perf.md).
     unsigned hw = std::thread::hardware_concurrency();
-    body += strprintf(",\n    \"jobs\": %d,\n    \"sched\": \"%s\""
-                      ",\n    \"xfer\": \"%s\",\n    \"pdes\": %d"
+    body += strprintf(",\n    \"jobs\": %d,\n    \"pdes\": %d"
                       ",\n    \"hardware_concurrency\": %u",
-                      defaultJobs(),
-                      sim::schedPolicyName(sim::defaultSchedPolicy()),
-                      bus::xferPolicyName(bus::defaultXferPolicy()),
-                      sim::defaultPdesPartitions(), hw > 0 ? hw : 1);
+                      defaultJobs(), sim::defaultPdesPartitions(),
+                      hw > 0 ? hw : 1);
     for (const auto &[key, value] : extras)
         body += strprintf(",\n    \"%s\": %.6g", key.c_str(), value);
     for (const auto &[key, value] : noteExtras)

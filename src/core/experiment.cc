@@ -282,7 +282,7 @@ runExperiment(const ExperimentConfig &config)
                         ? config.pdes
                         : std::min(sim::defaultPdesPartitions(),
                                    config.scale);
-    sim::Simulator simulator(config.sched, pdesParts);
+    sim::Simulator simulator(pdesParts);
     switch (config.arch) {
       case Arch::ActiveDisk: {
         diskos::AdParams params;
@@ -291,7 +291,6 @@ runExperiment(const ExperimentConfig &config)
         params.interconnectLoops = config.interconnectLoops;
         params.directD2d = config.directD2d;
         params.frontendCpuMhz = config.adFrontendMhz;
-        params.xfer = config.xfer;
         diskos::ActiveDiskArray machine(simulator, config.scale,
                                         config.drive, params);
         planPartitions(simulator, machine);
@@ -308,11 +307,8 @@ runExperiment(const ExperimentConfig &config)
         return result;
       }
       case Arch::Cluster: {
-        arch::ClusterParams params;
-        params.net.xfer = config.xfer;
-        params.nodeBus.xfer = config.xfer;
         arch::ClusterMachine machine(simulator, config.scale,
-                                     config.drive, params);
+                                     config.drive);
         planPartitions(simulator, machine);
         AvailabilityRig<ClusterAvailability, arch::ClusterMachine>
             rig(simulator, faultScope.injector(), machine,
@@ -331,7 +327,6 @@ runExperiment(const ExperimentConfig &config)
         smp::SmpParams params;
         params.fcRate = config.interconnectRate;
         params.fcLoops = config.interconnectLoops;
-        params.xfer = config.xfer;
         smp::SmpMachine machine(simulator, config.scale, config.scale,
                                 config.drive, params);
         planPartitions(simulator, machine);

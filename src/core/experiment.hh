@@ -12,9 +12,7 @@
 #include <cstdint>
 #include <string>
 
-#include "bus/xfer.hh"
 #include "disk/disk_spec.hh"
-#include "sim/sched.hh"
 #include "tasks/task_result.hh"
 #include "workload/cost_model.hh"
 #include "workload/dataset.hh"
@@ -78,31 +76,14 @@ struct ExperimentConfig
     /** @} */
 
     /**
-     * Event-scheduler policy for the experiment's Simulator. Results
-     * are bit-identical under either policy (it only changes host
-     * time); defaults to the HOWSIM_SCHED environment selection.
-     */
-    sim::SchedPolicy sched = sim::defaultSchedPolicy();
-
-    /**
-     * Transfer engine for every interconnect in the machine (the
-     * cluster fabric and node buses, the Active Disk loop, the SMP
-     * buses). Like @ref sched this is a host-side choice only:
-     * simulated results are bit-identical under either engine
-     * (DESIGN.md §12). Defaults to the HOWSIM_XFER selection.
-     */
-    bus::XferPolicy xfer = bus::defaultXferPolicy();
-
-    /**
      * Parallel-DES partition count for the experiment's Simulator.
      * 0 (the default) resolves to the HOWSIM_PDES environment
      * selection clamped to @ref scale, so a matrix-wide HOWSIM_PDES=2
      * never over-partitions a small experiment; an explicit positive
      * value is taken as-is and must not exceed @ref scale
-     * (validateConfig rejects more partitions than devices). Like
-     * @ref sched and @ref xfer this is a host-side choice: the
-     * machines plan onto one partition (one coroutine domain), so
-     * simulated results are bit-identical at any setting.
+     * (validateConfig rejects more partitions than devices). This is
+     * a host-side choice: simulated results are bit-identical at any
+     * setting.
      */
     int pdes = 0;
 

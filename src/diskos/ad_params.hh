@@ -50,9 +50,6 @@ struct AdParams
     /** Loops composing the serial interconnect. */
     int interconnectLoops = 2;
 
-    /** Transfer engine for the interconnect (host-side choice). */
-    bus::XferPolicy xfer = bus::defaultXferPolicy();
-
     /** Front-end host processor clock (Pentium II). */
     double frontendCpuMhz = 450;
 
@@ -97,10 +94,8 @@ struct AdParams
     bus::BusParams
     interconnect() const
     {
-        bus::BusParams p = bus::BusParams::fibreChannel(
-            interconnectRate, interconnectLoops);
-        p.xfer = xfer;
-        return p;
+        return bus::BusParams::fibreChannel(interconnectRate,
+                                            interconnectLoops);
     }
 };
 

@@ -44,23 +44,12 @@ Detector::start()
     if (sched.empty())
         return;
     int home = transport.homePartition();
-    if (inj.plan().hbPeriod > 0) {
-        // Monitor every device, not just the victims: the probe
-        // traffic of healthy devices is part of the interconnect
-        // load, and a fail-slow (but alive) device must be seen to
-        // keep its lease — the false-positive bound detector_test
-        // pins.
-        for (int d = 0; d < transport.deviceCount(); ++d) {
-            simulator.spawnOn(home, monitor(d),
-                              strprintf("hb.monitor%d", d));
-        }
-    } else {
-        // hb.period.ms=0: legacy fixed-lease timers, victims only.
-        for (const StopSchedule::Victim &v : sched.victims) {
-            simulator.spawnOn(home, fixedLease(v.device),
-                              strprintf("hb.lease%d", v.device));
-        }
-    }
+    // Monitor every device, not just the victims: the probe traffic
+    // of healthy devices is part of the interconnect load, and a
+    // fail-slow (but alive) device must be seen to keep its lease —
+    // the false-positive bound detector_test pins.
+    for (int d = 0; d < transport.deviceCount(); ++d)
+        simulator.spawnOn(home, monitor(d), strprintf("hb.monitor%d", d));
 }
 
 void
@@ -142,22 +131,6 @@ Detector::monitor(int device)
             }
         }
     }
-}
-
-sim::Coro<void>
-Detector::fixedLease(int victim)
-{
-    const StopSchedule::Victim *v = sched.victimOf(victim);
-    sim::Tick declareAt = v->stopAt + sched.lease;
-    if (declareAt > simulator.now())
-        co_await sim::delay(declareAt - simulator.now());
-    declareDead(victim, simulator.now());
-    if (v->rejoins()) {
-        if (v->restartAt > simulator.now())
-            co_await sim::delay(v->restartAt - simulator.now());
-        noteRejoin(victim);
-    }
-    --watchRemaining;
 }
 
 sim::Coro<void>

@@ -9,8 +9,8 @@
  * (hb.timeout.x) and whatever foreground traffic is contending for
  * the link — not a configured constant. Heartbeat send instants are
  * jittered by the repo's stateless counter hash (fault::unitDraw), so
- * the probe schedule is bit-identical across the sched x xfer x jobs
- * x pdes matrix like every other fault site.
+ * the probe schedule is bit-identical across the jobs x pdes matrix
+ * like every other fault site.
  *
  * Two clocks matter and are deliberately distinct (DESIGN.md §13):
  *
@@ -144,8 +144,7 @@ class Detector
     Detector &operator=(const Detector &) = delete;
 
     /**
-     * Spawn one monitor per device on the home partition (or, with
-     * hb.period.ms=0, one fixed lease timer per victim). Call before
+     * Spawn one monitor per device on the home partition. Call before
      * the simulator runs.
      */
     void start();
@@ -155,7 +154,6 @@ class Detector
 
   private:
     sim::Coro<void> monitor(int device);
-    sim::Coro<void> fixedLease(int victim);
     sim::Coro<void> rebuild(int victim);
     void declareDead(int device, sim::Tick now);
     void noteRejoin(int device);

@@ -164,18 +164,14 @@ FaultPlan::parse(const std::string &spec)
             if (v <= 0.0)
                 fatal("fault spec: stop.restart.ms=%g must be > 0", v);
             plan.stopRestart = sim::fromSeconds(v * 1e-3);
-        } else if (key == "stop.detect.ms") {
-            double v = parseDouble(key, value);
-            if (v < 0.0)
-                fatal("fault spec: stop.detect.ms=%g must be >= 0", v);
-            plan.stopDetect = sim::fromSeconds(v * 1e-3);
         } else if (key == "hb.period.ms") {
             double v = parseDouble(key, value);
-            if (v < 0.0)
-                fatal("fault spec: hb.period.ms=%g must be >= 0 "
-                      "(0 disables the detector)",
-                      v);
             plan.hbPeriod = sim::fromSeconds(v * 1e-3);
+            if (!(v > 0.0) || plan.hbPeriod == 0)
+                fatal("fault spec: hb.period.ms=%g must be > 0 "
+                      "(accepted: a heartbeat period of at least "
+                      "1e-6 ms, one simulated nanosecond)",
+                      v);
         } else if (key == "hb.timeout.x") {
             plan.hbTimeoutX = parseDouble(key, value);
             if (plan.hbTimeoutX < 1.0)
@@ -192,8 +188,7 @@ FaultPlan::parse(const std::string &spec)
                   "disk.media.retries, disk.remap.rate, net.drop.rate, "
                   "net.corrupt.rate, net.retries, net.timeout.us, "
                   "stop.disk, stop.rate, stop.at.ms, stop.restart.ms, "
-                  "stop.detect.ms, hb.period.ms, hb.timeout.x, "
-                  "rebuild.rate.mbs)",
+                  "hb.period.ms, hb.timeout.x, rebuild.rate.mbs)",
                   key.c_str());
         }
     }
@@ -305,8 +300,6 @@ FaultPlan::toString() const
         emit(out, "stop.at.ms", msStr(stopAt));
     if (stopRestart != defaults.stopRestart)
         emit(out, "stop.restart.ms", msStr(stopRestart));
-    if (stopDetect != defaults.stopDetect)
-        emit(out, "stop.detect.ms", msStr(stopDetect));
     if (hbPeriod != defaults.hbPeriod)
         emit(out, "hb.period.ms", msStr(hbPeriod));
     if (hbTimeoutX != defaults.hbTimeoutX)

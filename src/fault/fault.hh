@@ -15,9 +15,8 @@
  * of the plan seed, a stable site id (disk name, link endpoints), and
  * a per-site sequence number that advances in simulated event order.
  * No stateful RNG stream exists, so decisions cannot depend on host
- * thread interleaving or on which scheduler/transfer engine runs the
- * events: the same seed and plan give bit-identical results under
- * serial or parallel runners and under every sched x xfer policy.
+ * thread interleaving: the same seed and plan give bit-identical
+ * results under serial or parallel runners and executives.
  */
 
 #ifndef HOWSIM_FAULT_FAULT_HH
@@ -96,13 +95,7 @@ struct FaultPlan
     /** Victims rejoin this long after stopping (0 = never). */
     sim::Tick stopRestart = 0;
 
-    /**
-     * Fixed detection-lease fallback, used only when the heartbeat
-     * detector is disabled (hb.period.ms=0).
-     */
-    sim::Tick stopDetect = sim::milliseconds(10);
-
-    /** Heartbeat period of the failure detector (0 = fixed timer). */
+    /** Heartbeat period of the failure detector (> 0). */
     sim::Tick hbPeriod = sim::milliseconds(5);
 
     /** Lease = hb.timeout.x missed heartbeat periods (>= 1). */
@@ -134,15 +127,12 @@ struct FaultPlan
 
     /**
      * The detection lease: how stale a device's last heartbeat ack
-     * may be before the front end declares it dead. hb.timeout.x
-     * periods of the heartbeat detector, or the fixed stop.detect.ms
-     * timer when heartbeats are disabled.
+     * may be before the front end declares it dead — hb.timeout.x
+     * periods of the heartbeat detector.
      */
     sim::Tick
     leaseTicks() const
     {
-        if (hbPeriod <= 0)
-            return stopDetect;
         return static_cast<sim::Tick>(
             static_cast<double>(hbPeriod) * hbTimeoutX);
     }
@@ -183,7 +173,7 @@ struct FaultPlan
  * time), so every layer — machines redirecting I/O, the detector
  * measuring latency, the traffic driver retrying queries — agrees on
  * it without exchanging state, which is what keeps timelines
- * bit-identical across the sched x xfer x jobs x pdes matrix.
+ * bit-identical across the jobs x pdes matrix.
  */
 struct StopSchedule
 {

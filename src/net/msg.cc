@@ -50,9 +50,8 @@ MsgLayer::obsLive() const
  * per attempt (bounded exponential backoff), while corruption is
  * caught by the receiver's checksum and NACKed after one software
  * round trip. Attempt outcomes hash (seed, link, message sequence,
- * attempt), so both transfer engines — whose per-transport completion
- * ticks are identical by DESIGN.md section 12 — retransmit at
- * identical ticks.
+ * attempt), with no RNG state, so a retransmit's tick depends only on
+ * the transport's completion tick.
  */
 sim::Coro<void>
 MsgLayer::faultyTransport(int src, int dst, std::uint64_t bytes)

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "net/network.hh"
+#include "sim/awaitables.hh"
 #include "sim/channel.hh"
 #include "sim/coro.hh"
 #include "sim/simulator.hh"

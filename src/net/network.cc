@@ -24,7 +24,6 @@ Network::Network(sim::Simulator &s, int host_count, NetParams params)
     link.channels = 1;
     link.channelRate = netParams.hostLinkRate;
     link.startup = 0; // latency handled per hop
-    link.xfer = netParams.xfer;
     link.probeTimeline = session && session->fine();
     for (int hostIdx = 0; hostIdx < host_count; ++hostIdx) {
         // Per-instance names so each NIC gets its own utilization
@@ -51,7 +50,6 @@ Network::Network(sim::Simulator &s, int host_count, NetParams params)
     up.channels = netParams.uplinksPerSwitch;
     up.channelRate = netParams.uplinkRate;
     up.startup = 0;
-    up.xfer = netParams.xfer;
     for (int edgeIdx = 0; edgeIdx < nedges; ++edgeIdx) {
         Edge e;
         up.name = session ? strprintf("net.sw%d.up", edgeIdx)
@@ -73,27 +71,8 @@ Network::traffic(int host) const
     return hosts[static_cast<std::size_t>(host)].traffic;
 }
 
-sim::Coro<void>
-Network::forwardFrame(int src, int dst, std::uint32_t bytes,
-                      bool cross_edge, int *arrived, int total,
-                      sim::Trigger *done)
-{
-    co_await sim::delay(netParams.hopLatency);
-    if (cross_edge) {
-        co_await edges[static_cast<std::size_t>(edgeOf(src))]
-            .up->transfer(bytes);
-        co_await sim::delay(netParams.hopLatency);
-        co_await edges[static_cast<std::size_t>(edgeOf(dst))]
-            .down->transfer(bytes);
-        co_await sim::delay(netParams.hopLatency);
-    }
-    co_await hosts[static_cast<std::size_t>(dst)].rx->transfer(bytes);
-    if (++*arrived == total)
-        done->fire();
-}
-
 /**
- * One calendar-path message in flight: the per-frame walker state
+ * One message in flight: the per-frame walker state
  * machine and, when every stage is quiet, the closed-form collapsed
  * schedule. Lives on the transport() coroutine frame, which stays
  * alive until the completion fires; the only event that can outlive
@@ -214,13 +193,13 @@ struct Network::XferOp final : bus::Reservation
 
     // ----- per-frame walker -----
     //
-    // Replicates the reference path's event structure one-for-one
-    // (DESIGN.md §12): tx completion -> launch event (the detached
-    // forwarder's process start) -> hop event -> stage booking ->
-    // ... -> receiver completion. Every schedule call happens inside
-    // the same event, in the same order, as its coroutine
-    // counterpart, so the two paths assign identical (tick, seq)
-    // pairs throughout.
+    // Replicates the reference model's event structure one-for-one
+    // (tests/oracle/coro_bus.hh, DESIGN.md §12): tx completion ->
+    // launch event (the detached forwarder's process start) -> hop
+    // event -> stage booking -> ... -> receiver completion. Every
+    // schedule call happens inside the same event, in the same order,
+    // as its coroutine counterpart, so the two assign identical
+    // (tick, seq) pairs throughout.
 
     void
     startWalker()
@@ -242,7 +221,7 @@ struct Network::XferOp final : bus::Reservation
     {
         XferOp *op = this;
         if (s == 0) {
-            // The reference path spawns the detached forwarder (its
+            // The reference model spawns the detached forwarder (its
             // start is an event of its own) and then books the next
             // frame on the sender NIC, in that order.
             net.simulator.scheduleAt(
@@ -296,8 +275,6 @@ struct Network::XferOp final : bus::Reservation
     bool
     tryCollapse()
     {
-        if (std::getenv("HOWSIM_NO_COLLAPSE"))
-            return false;
         // Sole transfer in flight on the whole fabric: a concurrent
         // transfer anywhere — even on disjoint buses — could deliver
         // at the same tick as this train, and the tie would resolve
@@ -522,34 +499,10 @@ Network::transport(int src, int dst, std::uint64_t bytes)
     const bool cross_edge = edgeOf(src) != edgeOf(dst)
                             && edges.size() > 1;
 
-    if (netParams.xfer == bus::XferPolicy::Coro) {
-        const std::uint32_t frame = netParams.frameBytes;
-        const int total = static_cast<int>((wire + frame - 1) / frame);
-
-        // State shared with per-frame forwarders; lives in this
-        // frame, which stays alive until `done` fires.
-        int arrived = 0;
-        sim::Trigger done;
-
-        std::uint64_t remaining = wire;
-        while (remaining > 0) {
-            std::uint32_t sz = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(remaining, frame));
-            co_await hosts[static_cast<std::size_t>(src)].tx->transfer(
-                sz);
-            simulator.spawnDetached(
-                forwardFrame(src, dst, sz, cross_edge, &arrived, total,
-                             &done),
-                "frame");
-            remaining -= sz;
-        }
-        co_await done.wait();
-    } else {
-        XferOp op(*this, src, dst, wire, cross_edge);
-        if (!op.tryCollapse())
-            op.startWalker();
-        co_await op.done.wait();
-    }
+    XferOp op(*this, src, dst, wire, cross_edge);
+    if (!op.tryCollapse())
+        op.startWalker();
+    co_await op.done.wait();
 
     hosts[static_cast<std::size_t>(src)].traffic.bytesSent += bytes;
     hosts[static_cast<std::size_t>(dst)].traffic.bytesReceived += bytes;

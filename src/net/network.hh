@@ -15,15 +15,16 @@
  * being a FIFO queue-based bus. Contention therefore emerges at
  * whichever stage is oversubscribed.
  *
- * Two transfer engines implement the frame train (NetParams::xfer,
- * HOWSIM_XFER). The reference path spawns a coroutine per frame. The
- * calendar path drives the same event schedule from arithmetic
- * bookings on the stage buses and, when every stage is quiet,
- * collapses the whole train into a closed-form pipeline schedule —
- * O(path length) events for an N-frame message — that demotes back
- * to per-frame bookings the moment a competing transfer books one of
- * its stages. Timing, statistics and completion order are identical
- * between the engines (DESIGN.md §12).
+ * The frame train runs on the stage buses' calendar engine: a
+ * per-frame walker drives the event schedule from arithmetic
+ * bookings and, when every stage is quiet, the whole train collapses
+ * into a closed-form pipeline schedule — O(path length) events for
+ * an N-frame message — that demotes back to per-frame bookings the
+ * moment a competing transfer books one of its stages. Timing,
+ * statistics and completion order are those of the plain model, a
+ * coroutine per frame over Resource-backed buses, which
+ * tests/oracle/coro_bus.hh keeps as the conformance reference
+ * (DESIGN.md §12).
  *
  * Accounting semantics:
  *  - Loopback (src == dst) is local delivery: it completes in zero
@@ -46,8 +47,6 @@
 #include <vector>
 
 #include "bus/bus.hh"
-#include "bus/xfer.hh"
-#include "sim/awaitables.hh"
 #include "sim/coro.hh"
 #include "sim/simulator.hh"
 #include "sim/ticks.hh"
@@ -80,9 +79,6 @@ struct NetParams
 
     /** Segmentation unit for pipelining across hops. */
     std::uint32_t frameBytes = 64 * 1024;
-
-    /** Transfer engine for the stage buses and the frame train. */
-    bus::XferPolicy xfer = bus::defaultXferPolicy();
 };
 
 /**
@@ -161,10 +157,6 @@ class Network
 
     int edgeOf(int host) const { return host / netParams.hostsPerSwitch; }
 
-    sim::Coro<void> forwardFrame(int src, int dst, std::uint32_t bytes,
-                                 bool cross_edge, int *arrived,
-                                 int total, sim::Trigger *done);
-
     /**
      * Completion of a collapsed frame train, in two event hops (arm
      * at the delivering frame's grant tick, finish at delivery).
@@ -180,7 +172,7 @@ class Network
     std::vector<Host> hosts;
     std::vector<Edge> edges;
     std::uint64_t movedBytes = 0;
-    int opsInFlight = 0; //!< calendar-path transfers in flight
+    int opsInFlight = 0; //!< transfers in flight
     std::unordered_map<std::uint64_t, XferOp *> reservedOps;
     std::uint64_t nextOpId = 1;
     obs::Counter *obsMoved = nullptr; //!< null when obs is off

@@ -1,6 +1,6 @@
 /**
  * @file
- * Ladder-queue scheduler policy: amortized O(1) schedule and pop.
+ * Ladder-queue event scheduler: amortized O(1) schedule and pop.
  *
  * The structure exploits what a DES event population actually looks
  * like: most events are scheduled a short, clustered horizon ahead
@@ -32,8 +32,9 @@
  * three words per event. Ordering is exact, not approximate:
  * bottom is a strict (tick, seq) priority queue, and the tier ranges
  * are contiguous and disjoint, so the head of bottom is always the
- * global minimum. Drain order is bit-identical to EventHeap
- * (tests/sim/sched_conformance_test.cc fuzzes this).
+ * global minimum. Drain order is bit-identical to a binary heap's
+ * (tests/sim/sched_conformance_test.cc fuzzes this against the heap
+ * oracle in tests/oracle/event_heap.hh).
  *
  * A subtlety worth writing down: bucket vectors are always sorted by
  * sequence number, because entries only ever *append* (fresh
@@ -67,7 +68,7 @@
 namespace howsim::sim
 {
 
-/** Ladder-queue scheduler policy; see the file comment. */
+/** Ladder-queue event scheduler; see the file comment. */
 class EventLadder
 {
   public:
@@ -130,12 +131,8 @@ class EventLadder
             if (bottom.empty())
                 refillBottom();
             if (!bottomSorted) {
-                std::pop_heap(bottom.begin(), bottom.end(),
-                              SchedAfter{});
-                SchedEntry entry = bottom.back();
-                bottom.pop_back();
                 --events;
-                return entry;
+                return popBottomHeap();
             }
         }
         // Sorted-run fast path: a plain indexed walk, no sifting.
@@ -202,6 +199,49 @@ class EventLadder
     /** @} */
 
   private:
+    /**
+     * std::pop_heap on bottom, returning the removed root: the same
+     * algorithm (walk the hole to a leaf, then sift the old last
+     * element up), so the heap layout matches std's exactly, but the
+     * child pick is arithmetic rather than a branch. Drain-window
+     * ticks are close to random, so that branch mispredicts about
+     * half the time, and whether the compiler turns it into a
+     * conditional move depends on the inlining context.
+     */
+    SchedEntry
+    popBottomHeap()
+    {
+        SchedAfter after;
+        SchedEntry root = bottom.front();
+        SchedEntry value = bottom.back();
+        bottom.pop_back();
+        const std::size_t len = bottom.size();
+        if (len == 0)
+            return root;
+        std::size_t hole = 0;
+        std::size_t child = 0;
+        while (child < (len - 1) / 2) {
+            child = 2 * (child + 1);
+            child -= after(bottom[child], bottom[child - 1]);
+            bottom[hole] = bottom[child];
+            hole = child;
+        }
+        if ((len & 1) == 0 && child == (len - 2) / 2) {
+            child = 2 * (child + 1);
+            bottom[hole] = bottom[child - 1];
+            hole = child - 1;
+        }
+        while (hole > 0) {
+            std::size_t parent = (hole - 1) / 2;
+            if (!after(bottom[parent], value))
+                break;
+            bottom[hole] = bottom[parent];
+            hole = parent;
+        }
+        bottom[hole] = value;
+        return root;
+    }
+
     struct Rung
     {
         Tick base;          //!< aligned tick of bucket 0

@@ -1,7 +1,6 @@
 /**
  * @file
- * The discrete-event queue at the heart of the simulator — a thin
- * facade over the pluggable scheduler policies.
+ * The discrete-event queue at the heart of the simulator.
  *
  * Events are (tick, sequence, action) triples; the sequence number
  * breaks same-tick ties so that events scheduled for the same tick
@@ -9,21 +8,14 @@
  * deterministic. The queue splits each event in two: its action is
  * parked in a slot pool (a vector of InlineActions plus a stack of
  * free slot indices), and a trivially copyable 24-byte key
- * {tick, seq, slot} goes to the container. An action therefore moves
- * once in and once out, however often its key is sifted, split or
- * spilled. Two interchangeable containers implement the ordering:
+ * {tick, seq, slot} goes to the ladder queue (event_ladder.hh),
+ * which orders keys in amortized O(1) per operation. An action
+ * therefore moves once in and once out, however often its key is
+ * sifted, split or spilled.
  *
- *  - EventHeap (event_heap.hh) — the reference binary heap,
- *    O(log n) per operation;
- *  - EventLadder (event_ladder.hh) — a ladder queue, amortized O(1)
- *    per operation and the default.
- *
- * Both drain in strict (tick, seq) order, so which policy runs is
- * invisible to the simulation: every figure and table is
- * bit-identical under either. The policy is chosen per queue at
- * construction — by the HOWSIM_SCHED environment variable for the
- * default constructor — and dispatch is a single predictable branch,
- * not a virtual call, so the hot path stays inlineable.
+ * The ladder drains in strict (tick, seq) order, exactly as a binary
+ * heap would; tests/oracle/event_heap.hh keeps that heap as the
+ * reference the ladder is fuzzed against (DESIGN.md §11).
  */
 
 #ifndef HOWSIM_SIM_EVENT_QUEUE_HH
@@ -34,7 +26,6 @@
 #include <vector>
 
 #include "sim/action.hh"
-#include "sim/event_heap.hh"
 #include "sim/event_ladder.hh"
 #include "sim/logging.hh"
 #include "sim/sched.hh"
@@ -58,16 +49,11 @@ class EventQueue
         void operator()() { action(); }
     };
 
-    /** Use the HOWSIM_SCHED policy (ladder unless overridden). */
-    EventQueue() : EventQueue(defaultSchedPolicy()) {}
-
-    explicit EventQueue(SchedPolicy policy) : pol(policy) {}
-
     /** Schedule @p action to run at absolute time @p when. */
     void
     schedule(Tick when, Action &&action)
     {
-        push({when, nextSeq++, park(std::move(action))});
+        ladder.push({when, nextSeq++, park(std::move(action))});
     }
 
     /**
@@ -93,38 +79,22 @@ class EventQueue
     void
     scheduleWithSeq(Tick when, std::uint64_t seq, Action &&action)
     {
-        if (pol == SchedPolicy::Ladder)
-            ladder.markExplicitSeqs();
-        push({when, seq, park(std::move(action))});
+        ladder.markExplicitSeqs();
+        ladder.push({when, seq, park(std::move(action))});
     }
 
     /** True when no events remain. */
-    bool
-    empty() const
-    {
-        return pol == SchedPolicy::Ladder ? ladder.empty()
-                                          : heap.empty();
-    }
+    bool empty() const { return ladder.empty(); }
 
     /** Number of pending events. */
-    std::size_t
-    size() const
-    {
-        return pol == SchedPolicy::Ladder ? ladder.size()
-                                          : heap.size();
-    }
+    std::size_t size() const { return ladder.size(); }
 
     /**
-     * Time of the earliest pending event. The ladder policy may
-     * promote a bucket into its drain window here, hence not const.
+     * Time of the earliest pending event. The ladder may promote a
+     * bucket into its drain window here, hence not const.
      * @pre !empty().
      */
-    Tick
-    nextTick()
-    {
-        return pol == SchedPolicy::Ladder ? ladder.minTick()
-                                          : heap.minTick();
-    }
+    Tick nextTick() { return ladder.minTick(); }
 
     /**
      * Remove and return the earliest pending event, with its tick.
@@ -133,8 +103,7 @@ class EventQueue
     Popped
     pop()
     {
-        SchedEntry key =
-            pol == SchedPolicy::Ladder ? ladder.pop() : heap.pop();
+        SchedEntry key = ladder.pop();
         freeSlots.push_back(key.slot);
         return {key.when, std::move(pool[key.slot])};
     }
@@ -147,10 +116,7 @@ class EventQueue
     void
     reserve(std::size_t n)
     {
-        if (pol == SchedPolicy::Ladder)
-            ladder.reserve(n);
-        else
-            heap.reserve(n);
+        ladder.reserve(n);
         pool.reserve(n);
         freeSlots.reserve(n);
     }
@@ -158,18 +124,11 @@ class EventQueue
     /** Total number of events ever scheduled (for stats/tests). */
     std::uint64_t scheduledCount() const { return nextSeq; }
 
-    /** The scheduler policy this queue was built with. */
-    SchedPolicy policy() const { return pol; }
-
-    /**
-     * Ladder tier occupancy, for obs probes and tests. All zeros
-     * under the heap policy.
-     */
+    /** Ladder tier occupancy, for obs probes and tests. */
     EventLadder::Occupancy
     ladderOccupancy() const
     {
-        return pol == SchedPolicy::Ladder ? ladder.occupancy()
-                                          : EventLadder::Occupancy{};
+        return ladder.occupancy();
     }
 
   private:
@@ -189,17 +148,6 @@ class EventQueue
         return static_cast<std::uint32_t>(pool.size() - 1);
     }
 
-    void
-    push(SchedEntry key)
-    {
-        if (pol == SchedPolicy::Ladder)
-            ladder.push(key);
-        else
-            heap.push(key);
-    }
-
-    SchedPolicy pol;
-    EventHeap heap;
     EventLadder ladder;
     /** Parked actions; a slot is empty while on freeSlots. */
     std::vector<Action> pool;

@@ -1,9 +1,15 @@
 #include "sim/logging.hh"
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <iterator>
+#include <mutex>
 #include <vector>
+
+#include <unistd.h>
 
 namespace howsim
 {
@@ -124,6 +130,45 @@ void
 setQuiet(bool quiet)
 {
     levelRef() = quiet ? LogLevel::Quiet : LogLevel::Info;
+}
+
+void
+checkEnvNames()
+{
+    // Every HOWSIM_* variable any howsim binary reads; keep sorted.
+    static const char *const accepted[] = {
+        "HOWSIM_BENCH_JSON",
+        "HOWSIM_CSV_DIR",
+        "HOWSIM_FAULTS",
+        "HOWSIM_JOBS",
+        "HOWSIM_LOG_LEVEL",
+        "HOWSIM_METRICS",
+        "HOWSIM_OBS_INTERVAL_US",
+        "HOWSIM_PDES",
+        "HOWSIM_TRACE_DETAIL",
+        "HOWSIM_TRACE_DIR",
+        "HOWSIM_TRAFFIC",
+    };
+    for (char **env = environ; *env; ++env) {
+        if (std::strncmp(*env, "HOWSIM_", 7) != 0)
+            continue;
+        std::string name(*env, std::strcspn(*env, "="));
+        if (std::find(std::begin(accepted), std::end(accepted), name)
+            != std::end(accepted))
+            continue;
+        std::string list;
+        for (const char *a : accepted)
+            list += list.empty() ? a : std::string(", ") + a;
+        fatal("unknown environment variable %s (accepted: %s)",
+              name.c_str(), list.c_str());
+    }
+}
+
+void
+checkEnvNamesOnce()
+{
+    static std::once_flag once;
+    std::call_once(once, checkEnvNames);
 }
 
 } // namespace howsim

@@ -72,6 +72,19 @@ void setLogLevel(LogLevel level);
 /** Legacy switch: quiet maps to LogLevel::Quiet, else Info. */
 void setQuiet(bool quiet);
 
+/**
+ * Check every HOWSIM_* environment variable against the names howsim
+ * reads; fatal()s naming the first unknown one and the accepted set,
+ * so a typo or a retired knob cannot silently run the defaults.
+ */
+void checkEnvNames();
+
+/**
+ * checkEnvNames() once per process; the Simulator constructor calls
+ * it, so the check runs before the first simulation does.
+ */
+void checkEnvNamesOnce();
+
 } // namespace howsim
 
 #endif // HOWSIM_SIM_LOGGING_HH

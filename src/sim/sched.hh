@@ -1,15 +1,7 @@
 /**
  * @file
- * Scheduler policy selection and the key type shared by the
- * pluggable event-queue implementations.
- *
- * The simulation kernel ships two interchangeable scheduler policies
- * (see event_heap.hh and event_ladder.hh). Both drain events in
- * strict (tick, sequence) order, so a simulation's execution — and
- * therefore every table/figure output — is bit-identical under
- * either; they differ only in host-time cost per operation. The
- * HOWSIM_SCHED environment variable ("ladder" | "heap") picks the
- * default policy for newly built queues.
+ * The ordering key shared by the event ladder (event_ladder.hh) and
+ * EventQueue's action pool.
  */
 
 #ifndef HOWSIM_SIM_SCHED_HH
@@ -22,26 +14,6 @@
 
 namespace howsim::sim
 {
-
-/** The interchangeable event-queue implementations. */
-enum class SchedPolicy
-{
-    /** Single binary heap; O(log n) schedule/pop. The reference. */
-    Heap,
-    /** Ladder queue; amortized O(1) schedule/pop. The default. */
-    Ladder,
-};
-
-/** Short name ("heap", "ladder"). */
-const char *schedPolicyName(SchedPolicy policy);
-
-/**
- * The policy named by HOWSIM_SCHED, or SchedPolicy::Ladder when the
- * variable is unset. Unrecognised values warn once and fall back to
- * the default. Read per call (not cached) so tests can switch the
- * environment between simulator constructions.
- */
-SchedPolicy defaultSchedPolicy();
 
 /**
  * The ordering key of one pending event. The sequence number is a

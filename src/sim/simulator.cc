@@ -93,7 +93,7 @@ struct Simulator::Pdes
         std::atomic<std::uint64_t> executedPub{0};
     };
 
-    Pdes(Simulator &s, SchedPolicy sched, int n) : barrier(n)
+    Pdes(Simulator &s, int n) : barrier(n)
     {
         parts.reserve(static_cast<std::size_t>(n));
         for (int p = 0; p < n; ++p) {
@@ -102,7 +102,7 @@ struct Simulator::Pdes
                 part->q = &s.queue;
                 part->clock = &s.currentTick;
             } else {
-                part->owned = std::make_unique<EventQueue>(sched);
+                part->owned = std::make_unique<EventQueue>();
                 part->q = part->owned.get();
                 part->clock = &part->localClock;
             }
@@ -144,9 +144,9 @@ struct Simulator::Pdes
     std::vector<CrossEntry> merge; //!< boundary scratch
 };
 
-Simulator::Simulator(SchedPolicy sched, int pdesPartitions)
-    : queue(sched)
+Simulator::Simulator(int pdesPartitions)
 {
+    checkEnvNamesOnce();
     if (pdesPartitions < 1 || pdesPartitions > maxPdesPartitions) {
         fatal("Simulator: partition count %d out of range 1..%d",
               pdesPartitions, maxPdesPartitions);
@@ -154,48 +154,45 @@ Simulator::Simulator(SchedPolicy sched, int pdesPartitions)
     previous = currentSim;
     currentSim = this;
     if (pdesPartitions > 1)
-        pdes = std::make_unique<Pdes>(*this, sched, pdesPartitions);
+        pdes = std::make_unique<Pdes>(*this, pdesPartitions);
     obsSession = obs::session();
     if (obsSession) {
         obsPrevClock = obsSession->bindClock(&currentTick);
         // Scheduler occupancy probes: overall depth, plus the ladder
         // tiers (drain window / rung count / bucketed events /
-        // far-future overflow) when that policy is active.
+        // far-future overflow).
         obs::Timeline &timeline = obsSession->timeline();
         timeline.probe(
             "sim.queue_depth",
             [this] { return static_cast<double>(queue.size()); },
             this);
-        if (queue.policy() == SchedPolicy::Ladder) {
-            timeline.probe(
-                "sim.sched.bottom",
-                [this] {
-                    return static_cast<double>(
-                        queue.ladderOccupancy().bottom);
-                },
-                this);
-            timeline.probe(
-                "sim.sched.rungs",
-                [this] {
-                    return static_cast<double>(
-                        queue.ladderOccupancy().rungs);
-                },
-                this);
-            timeline.probe(
-                "sim.sched.rung_events",
-                [this] {
-                    return static_cast<double>(
-                        queue.ladderOccupancy().rungEvents);
-                },
-                this);
-            timeline.probe(
-                "sim.sched.top",
-                [this] {
-                    return static_cast<double>(
-                        queue.ladderOccupancy().top);
-                },
-                this);
-        }
+        timeline.probe(
+            "sim.sched.bottom",
+            [this] {
+                return static_cast<double>(
+                    queue.ladderOccupancy().bottom);
+            },
+            this);
+        timeline.probe(
+            "sim.sched.rungs",
+            [this] {
+                return static_cast<double>(
+                    queue.ladderOccupancy().rungs);
+            },
+            this);
+        timeline.probe(
+            "sim.sched.rung_events",
+            [this] {
+                return static_cast<double>(
+                    queue.ladderOccupancy().rungEvents);
+            },
+            this);
+        timeline.probe(
+            "sim.sched.top",
+            [this] {
+                return static_cast<double>(queue.ladderOccupancy().top);
+            },
+            this);
         if (pdes) {
             // Window/mailbox counters are written only inside the
             // barrier, which the sampling thread (partition 0) also
@@ -587,9 +584,6 @@ Simulator::run(Tick until)
         obsSession->metrics()
             .gauge("sim.final_tick")
             .set(static_cast<double>(currentTick));
-        obsSession->metrics()
-            .gauge("sim.sched_policy")
-            .set(queue.policy() == SchedPolicy::Ladder ? 1.0 : 0.0);
     }
     if (until != maxTick && until > currentTick)
         currentTick = until;
@@ -797,9 +791,6 @@ Simulator::runParallel(Tick until)
         obsSession->metrics()
             .gauge("sim.final_tick")
             .set(static_cast<double>(currentTick));
-        obsSession->metrics()
-            .gauge("sim.sched_policy")
-            .set(queue.policy() == SchedPolicy::Ladder ? 1.0 : 0.0);
         obsSession->metrics()
             .gauge("sim.pdes.partitions")
             .set(static_cast<double>(P.nparts()));

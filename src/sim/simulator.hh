@@ -61,24 +61,15 @@ using ProcessRef = std::shared_ptr<Process>;
 class Simulator
 {
   public:
-    /** Use the HOWSIM_SCHED policy and HOWSIM_PDES partition count. */
-    Simulator()
-        : Simulator(defaultSchedPolicy(), defaultPdesPartitions())
-    {
-    }
-
-    /** Explicit scheduler policy, HOWSIM_PDES partition count. */
-    explicit Simulator(SchedPolicy sched)
-        : Simulator(sched, defaultPdesPartitions())
-    {
-    }
+    /** Use the HOWSIM_PDES partition count. */
+    Simulator() : Simulator(defaultPdesPartitions()) {}
 
     /**
-     * Fully explicit: scheduler policy and partition count.
-     * @p pdesPartitions of 1 is the serial executive; more engages
-     * the windowed parallel loop with that many event queues.
+     * Explicit partition count. @p pdesPartitions of 1 is the serial
+     * executive; more engages the windowed parallel loop with that
+     * many event queues.
      */
-    Simulator(SchedPolicy sched, int pdesPartitions);
+    explicit Simulator(int pdesPartitions);
 
     ~Simulator();
 
@@ -182,9 +173,6 @@ class Simulator
 
     /** Number of events executed so far. */
     std::uint64_t eventsExecuted() const { return executed; }
-
-    /** The event queue's scheduler policy. */
-    SchedPolicy schedPolicy() const { return queue.policy(); }
 
     /** Partition count (1 = serial executive). */
     int partitions() const;

@@ -53,9 +53,6 @@ struct SmpParams
     /** Stripe unit across the disk farm. */
     std::uint32_t stripeChunkBytes = 64 * 1024;
 
-    /** Transfer engine for every machine bus (host-side choice). */
-    bus::XferPolicy xfer = bus::defaultXferPolicy();
-
     /** Full-function OS (IRIX-class) costs. */
     os::OsCosts costs = os::OsCosts::measuredPentiumII();
 

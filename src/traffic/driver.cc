@@ -375,8 +375,8 @@ class Driver
         // Client-visible retry, exactly once: only queries whose
         // first attempt overlapped a death instant re-execute (on a
         // disjoint stream band). Aliveness is plan arithmetic, so
-        // which queries retry is identical across the sched x xfer x
-        // jobs x pdes matrix. The takeover redirect already keeps a
+        // which queries retry is identical across the jobs x pdes
+        // matrix. The takeover redirect already keeps a
         // degraded attempt's output byte-equal — the assert below is
         // the availability contract, checked on every retry.
         if (!stopSched.empty()
@@ -564,7 +564,7 @@ runTraffic(const core::ExperimentConfig &config,
                         ? config.pdes
                         : std::min(sim::defaultPdesPartitions(),
                                    config.scale);
-    sim::Simulator simulator(config.sched, pdesParts);
+    sim::Simulator simulator(pdesParts);
     switch (config.arch) {
       case core::Arch::ActiveDisk: {
         diskos::AdParams params;
@@ -573,7 +573,6 @@ runTraffic(const core::ExperimentConfig &config,
         params.interconnectLoops = config.interconnectLoops;
         params.directD2d = config.directD2d;
         params.frontendCpuMhz = config.adFrontendMhz;
-        params.xfer = config.xfer;
         diskos::ActiveDiskArray machine(simulator, config.scale,
                                         config.drive, params);
         planPartitions(simulator);
@@ -585,11 +584,8 @@ runTraffic(const core::ExperimentConfig &config,
         return result;
       }
       case core::Arch::Cluster: {
-        arch::ClusterParams params;
-        params.net.xfer = config.xfer;
-        params.nodeBus.xfer = config.xfer;
         arch::ClusterMachine machine(simulator, config.scale,
-                                     config.drive, params);
+                                     config.drive);
         planPartitions(simulator);
         ClusterExec exec(simulator, machine, config.costs);
         auto result = drive(simulator, plan, exec, stops,
@@ -602,7 +598,6 @@ runTraffic(const core::ExperimentConfig &config,
         smp::SmpParams params;
         params.fcRate = config.interconnectRate;
         params.fcLoops = config.interconnectLoops;
-        params.xfer = config.xfer;
         smp::SmpMachine machine(simulator, config.scale,
                                 config.scale, config.drive, params);
         planPartitions(simulator);

@@ -1,25 +1,28 @@
 /**
  * @file
- * Statistics parity between the two transfer engines: the same
- * contended workload run under XferPolicy::Coro and
- * XferPolicy::Calendar must report identical BusStats (transfers,
- * bytes, busyTicks), totalWait, utilization and end-of-run
- * queueLength — not merely identical completion times. This pins the
- * calendar engine's bookkeeping (synchronous release-time grants,
- * reservation commit/adopt paths) to the Resource-based reference.
+ * Statistics parity between bus::Bus and the coroutine oracle
+ * (tests/oracle/coro_bus.hh): the same contended workload run on
+ * each must report identical BusStats (transfers, bytes, busyTicks),
+ * totalWait, utilization and end-of-run queueLength — not merely
+ * identical completion times. This pins the calendar engine's
+ * bookkeeping (synchronous release-time grants, reservation
+ * commit/adopt paths) to the Resource-based reference.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "bus/bus.hh"
+#include "oracle/coro_bus.hh"
 #include "sim/awaitables.hh"
 #include "sim/simulator.hh"
 
 using namespace howsim::bus;
 using namespace howsim::sim;
+using howsim::oracle::CoroBus;
 
 namespace
 {
@@ -41,8 +44,9 @@ struct Report
  * with mixed sizes and arrival times, enough concurrency to keep
  * every channel busy and a queue formed for most of the run.
  */
+template <typename BusT>
 Report
-runWorkload(XferPolicy policy, int channels, double rate)
+runWorkload(int channels, double rate)
 {
     Simulator sim;
     BusParams p;
@@ -50,8 +54,7 @@ runWorkload(XferPolicy policy, int channels, double rate)
     p.channels = channels;
     p.channelRate = rate;
     p.startup = microseconds(10);
-    p.xfer = policy;
-    Bus bus(sim, p);
+    BusT bus(sim, p);
     auto user = [&bus](Tick start, std::uint64_t bytes,
                        int repeats) -> Coro<void> {
         co_await delay(start);
@@ -78,8 +81,8 @@ runWorkload(XferPolicy policy, int channels, double rate)
 void
 expectParity(int channels, double rate)
 {
-    Report coro = runWorkload(XferPolicy::Coro, channels, rate);
-    Report cal = runWorkload(XferPolicy::Calendar, channels, rate);
+    Report coro = runWorkload<CoroBus>(channels, rate);
+    Report cal = runWorkload<Bus>(channels, rate);
     EXPECT_EQ(coro.elapsed, cal.elapsed);
     EXPECT_EQ(coro.transfers, cal.transfers);
     EXPECT_EQ(coro.bytes, cal.bytes);
@@ -119,14 +122,14 @@ TEST(BusParity, MidRunQueueObservationsAgree)
         Tick totalWait;
         double utilization;
     };
-    auto sample = [](XferPolicy policy) {
+    auto sample = [](auto tag) {
+        using BusT = typename decltype(tag)::type;
         Simulator sim;
         BusParams p;
         p.channels = 2;
         p.channelRate = 100e6;
         p.startup = microseconds(10);
-        p.xfer = policy;
-        Bus bus(sim, p);
+        BusT bus(sim, p);
         auto user = [&bus](std::uint64_t bytes) -> Coro<void> {
             co_await bus.transfer(bytes);
         };
@@ -145,8 +148,8 @@ TEST(BusParity, MidRunQueueObservationsAgree)
         sim.run();
         return probes;
     };
-    auto coro = sample(XferPolicy::Coro);
-    auto cal = sample(XferPolicy::Calendar);
+    auto coro = sample(std::type_identity<CoroBus>{});
+    auto cal = sample(std::type_identity<Bus>{});
     ASSERT_EQ(coro.size(), cal.size());
     bool sawQueue = false;
     for (std::size_t i = 0; i < coro.size(); ++i) {

@@ -82,29 +82,24 @@ TEST(FaultExperiment, DiskFaultsSlowTheRunButPreserveOutput)
     }
 }
 
-TEST(FaultExperiment, NetFaultsAgreeAcrossEnginesAndSchedulers)
+TEST(FaultExperiment, NetFaultsAgreeAcrossPartitions)
 {
-    // The retransmit machinery sits above the transfer engine and the
-    // event scheduler, so a faulted run must produce one simulated
-    // timeline under all four host-side policy combinations.
+    // Retransmit decisions hash (seed, link, message, attempt), so a
+    // faulted run must produce one simulated timeline at every PDES
+    // partition count.
     for (Arch arch : {Arch::ActiveDisk, Arch::Cluster}) {
         auto config = baseConfig(arch, TaskKind::Select, 4);
         auto faultFree = core::runExperiment(config);
         config.faults = "seed=7,net.drop.rate=0.3,net.corrupt.rate=0.1";
 
         std::vector<tasks::TaskResult> results;
-        for (auto sched :
-             {sim::SchedPolicy::Ladder, sim::SchedPolicy::Heap}) {
-            for (auto xfer :
-                 {bus::XferPolicy::Calendar, bus::XferPolicy::Coro}) {
-                config.sched = sched;
-                config.xfer = xfer;
-                results.push_back(core::runExperiment(config));
-            }
+        for (int pdes : {1, 2, 4}) {
+            config.pdes = pdes;
+            results.push_back(core::runExperiment(config));
         }
         for (std::size_t i = 1; i < results.size(); ++i) {
             EXPECT_EQ(results[i].elapsedTicks, results[0].elapsedTicks)
-                << core::archName(arch) << " combo " << i;
+                << core::archName(arch) << " pdes combo " << i;
             EXPECT_EQ(results[i].outputBytes, results[0].outputBytes);
         }
         // Retransmits and backoffs only ever add time, and at these

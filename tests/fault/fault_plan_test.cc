@@ -36,8 +36,8 @@ TEST(FaultPlan, FullSpecRoundTrips)
         "disk.remap.rate=1e-4,net.drop.rate=0.01,"
         "net.corrupt.rate=0.02,net.retries=4,net.timeout.us=500,"
         "stop.disk=3+1+7,stop.rate=0.125,stop.at.ms=100,"
-        "stop.restart.ms=250,stop.detect.ms=20,hb.period.ms=2,"
-        "hb.timeout.x=4,rebuild.rate.mbs=64");
+        "stop.restart.ms=250,hb.period.ms=2,hb.timeout.x=4,"
+        "rebuild.rate.mbs=64");
     EXPECT_EQ(plan.seed, 42u);
     EXPECT_DOUBLE_EQ(plan.diskSlowFrac, 0.25);
     EXPECT_DOUBLE_EQ(plan.diskSlowFactor, 2.5);
@@ -53,7 +53,6 @@ TEST(FaultPlan, FullSpecRoundTrips)
     EXPECT_DOUBLE_EQ(plan.stopRate, 0.125);
     EXPECT_EQ(plan.stopAt, sim::fromSeconds(0.1));
     EXPECT_EQ(plan.stopRestart, sim::fromSeconds(0.25));
-    EXPECT_EQ(plan.stopDetect, sim::fromSeconds(0.02));
     EXPECT_EQ(plan.hbPeriod, sim::fromSeconds(0.002));
     EXPECT_DOUBLE_EQ(plan.hbTimeoutX, 4.0);
     EXPECT_DOUBLE_EQ(plan.rebuildRateMBs, 64.0);
@@ -181,6 +180,20 @@ TEST(FaultPlanDeathTest, CombinedNetRatesAboveOneIsFatal)
     EXPECT_EXIT(
         FaultPlan::parse("net.drop.rate=0.6,net.corrupt.rate=0.6"),
         testing::ExitedWithCode(1), "exceeds 1");
+}
+
+TEST(FaultPlanDeathTest, FixedLeaseFallbackIsRejected)
+{
+    // The heartbeat detector is the only failure detector: a zero
+    // period and the retired fixed-lease key both fail, naming what
+    // is accepted.
+    EXPECT_EXIT(FaultPlan::parse("hb.period.ms=0"),
+                testing::ExitedWithCode(1),
+                "hb.period.ms=0 must be > 0 \\(accepted: ");
+    EXPECT_EXIT(FaultPlan::parse("stop.detect.ms=15"),
+                testing::ExitedWithCode(1),
+                "unknown key \"stop.detect.ms\" \\(accepted: seed,"
+                ".*hb.period.ms");
 }
 
 TEST(FaultPlan, FromEnvReadsHowsimFaults)

@@ -32,8 +32,8 @@ TEST(Injector, DecisionsArePureFunctionsOfTheirInputs)
 {
     // Same plan, same (site, seq, attempt) => same answer, no matter
     // how many times or in what order the question is asked. This is
-    // the property that keeps fault runs identical across scheduler
-    // policies, transfer engines, and worker threads.
+    // the property that keeps fault runs identical across worker
+    // threads and PDES partitions.
     Injector a(allFaultsPlan());
     Injector b(allFaultsPlan());
     std::uint64_t site = fault::siteId("disk3");

@@ -1,12 +1,13 @@
 /**
  * @file
- * Differential conformance suite for the two Network transfer
- * engines: every scenario is executed once per XferPolicy and the
- * full completion trace — (tick, message) in completion order — must
- * match exactly. This is the executable form of the DESIGN.md §12
- * equivalence argument, aimed at the spots where it could break:
- * same-tick collisions, oversubscribed stages, collapse demotion and
- * multi-channel buses.
+ * Differential conformance suite for net::Network against the
+ * coroutine-per-frame oracle (tests/oracle/coro_bus.hh): every
+ * scenario is executed on both and the full completion trace —
+ * (tick, message) in completion order — must match exactly, as must
+ * the fabric byte total. This is the executable form of the
+ * DESIGN.md §12 equivalence argument, aimed at the spots where it
+ * could break: same-tick collisions, oversubscribed stages, collapse
+ * demotion and multi-channel buses.
  */
 
 #include <gtest/gtest.h>
@@ -16,8 +17,8 @@
 #include <utility>
 #include <vector>
 
-#include "bus/bus.hh"
 #include "net/network.hh"
+#include "oracle/coro_bus.hh"
 #include "sim/awaitables.hh"
 #include "sim/simulator.hh"
 
@@ -39,13 +40,13 @@ struct Msg
 /** Completion trace: (tick, message index) in completion order. */
 using Trace = std::vector<std::pair<Tick, int>>;
 
-Trace
-runMsgs(bus::XferPolicy policy, int hosts, const std::vector<Msg> &msgs,
-        NetParams base = {})
+/** Run @p msgs on a fresh NetT; returns the trace and fabric bytes. */
+template <typename NetT>
+std::pair<Trace, std::uint64_t>
+runMsgs(int hosts, const std::vector<Msg> &msgs, NetParams base)
 {
     Simulator sim;
-    base.xfer = policy;
-    Network net(sim, hosts, base);
+    NetT net(sim, hosts, base);
     Trace trace;
     auto one = [&](int idx) -> Coro<void> {
         const Msg &m = msgs[static_cast<std::size_t>(idx)];
@@ -57,16 +58,18 @@ runMsgs(bus::XferPolicy policy, int hosts, const std::vector<Msg> &msgs,
     for (int i = 0; i < static_cast<int>(msgs.size()); ++i)
         sim.spawn(one(i));
     sim.run();
-    return trace;
+    return {trace, net.totalBytes()};
 }
 
-/** Run under both engines and require identical completion traces. */
+/** Run on Network and the oracle; require identical traces. */
 void
 expectConformance(int hosts, const std::vector<Msg> &msgs,
                   NetParams base = {})
 {
-    Trace coro = runMsgs(bus::XferPolicy::Coro, hosts, msgs, base);
-    Trace cal = runMsgs(bus::XferPolicy::Calendar, hosts, msgs, base);
+    auto [coro, coroBytes] =
+        runMsgs<oracle::CoroNetwork>(hosts, msgs, base);
+    auto [cal, calBytes] = runMsgs<Network>(hosts, msgs, base);
+    EXPECT_EQ(coroBytes, calBytes);
     ASSERT_EQ(coro.size(), msgs.size());
     ASSERT_EQ(coro.size(), cal.size());
     for (std::size_t i = 0; i < coro.size(); ++i) {

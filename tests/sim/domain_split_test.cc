@@ -133,7 +133,7 @@ TEST(DomainSplit, MailboxMergesSimultaneousSendsDeterministically)
     // src1/src2 by sequence number — and identically on every run.
     constexpr Tick lookahead = 1000;
     auto runOnce = [&] {
-        Simulator simulator(sim::SchedPolicy::Ladder, 3);
+        Simulator simulator(3);
         simulator.setLookahead(lookahead);
         std::vector<int> order; // touched only by partition 0
         auto sender = [&](int src) -> Coro<void> {

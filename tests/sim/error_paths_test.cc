@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "sim/awaitables.hh"
 #include "sim/channel.hh"
@@ -56,12 +58,25 @@ TEST(ErrorPathDeathTest, LogLevelEnvGarbageIsFatal)
     unsetenv("HOWSIM_LOG_LEVEL");
 }
 
-TEST(ErrorPathDeathTest, SchedEnvGarbageIsFatal)
+TEST(ErrorPathDeathTest, UnknownHowsimEnvIsFatal)
 {
-    setenv("HOWSIM_SCHED", "fifo", 1);
-    EXPECT_EXIT(defaultSchedPolicy(), testing::ExitedWithCode(1),
-                "HOWSIM_SCHED");
-    unsetenv("HOWSIM_SCHED");
+    // A retired knob (the scheduler switch) and a typo of a live one
+    // must not silently run the defaults: each fails, naming the
+    // variable and the accepted set.
+    const char *const unknown[][2] = {{"HOWSIM_SCHED", "heap"},
+                                      {"HOWSIM_FAULT", "seed=1"}};
+    for (const auto &[name, value] : unknown) {
+        setenv(name, value, 1);
+        EXPECT_EXIT(checkEnvNames(), testing::ExitedWithCode(1),
+                    std::string("unknown environment variable ") + name
+                        + " \\(accepted: HOWSIM_BENCH_JSON, .*"
+                          "HOWSIM_FAULTS, .*HOWSIM_TRAFFIC\\)");
+        unsetenv(name);
+    }
+    // Accepted names pass, whatever their value.
+    setenv("HOWSIM_JOBS", "2", 1);
+    checkEnvNames();
+    unsetenv("HOWSIM_JOBS");
 }
 
 TEST(ErrorPath, UncaughtChannelClosedSurfacesFromRun)

@@ -281,31 +281,29 @@ TEST(EventQueue, ReservedHoldLoopDoesNotAllocate)
     // schedule its successor a pseudo-random delay ahead. Once
     // reserve() has sized the container, the action pool and the
     // free-slot stack for the depth, neither the fill nor the loop
-    // may allocate, under either policy.
+    // may allocate.
     constexpr std::size_t depth = 64;
-    for (SchedPolicy policy : {SchedPolicy::Ladder, SchedPolicy::Heap}) {
-        EventQueue q(policy);
-        q.reserve(depth);
-        std::uint64_t state = 12345;
-        auto delayAhead = [&state] {
-            state = state * 6364136223846793005ull
-                    + 1442695040888963407ull;
-            return static_cast<Tick>((state >> 33) % 1000 + 1);
-        };
-        std::uint64_t sum = 0;
-        std::size_t before = newCalls;
-        for (std::size_t i = 0; i < depth; ++i)
-            q.schedule(delayAhead(), [&sum] { ++sum; });
-        for (int i = 0; i < 100000; ++i) {
-            auto event = q.pop();
-            event();
-            q.schedule(event.when + delayAhead(), [&sum] { ++sum; });
-        }
-        std::size_t after = newCalls;
-        EXPECT_EQ(after, before) << schedPolicyName(policy);
-        EXPECT_EQ(q.size(), depth);
-        EXPECT_EQ(sum, 100000u);
+    EventQueue q;
+    q.reserve(depth);
+    std::uint64_t state = 12345;
+    auto delayAhead = [&state] {
+        state = state * 6364136223846793005ull
+                + 1442695040888963407ull;
+        return static_cast<Tick>((state >> 33) % 1000 + 1);
+    };
+    std::uint64_t sum = 0;
+    std::size_t before = newCalls;
+    for (std::size_t i = 0; i < depth; ++i)
+        q.schedule(delayAhead(), [&sum] { ++sum; });
+    for (int i = 0; i < 100000; ++i) {
+        auto event = q.pop();
+        event();
+        q.schedule(event.when + delayAhead(), [&sum] { ++sum; });
     }
+    std::size_t after = newCalls;
+    EXPECT_EQ(after, before);
+    EXPECT_EQ(q.size(), depth);
+    EXPECT_EQ(sum, 100000u);
 }
 
 TEST(EventQueue, PendingPooledActionsDestroyedOnceWithTheQueue)

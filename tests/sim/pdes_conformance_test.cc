@@ -2,11 +2,11 @@
  * @file
  * Conformance tests for the conservative parallel-DES executive: the
  * paper experiments must produce bit-identical results at every
- * HOWSIM_PDES setting, under every scheduler and transfer-engine
- * policy and under fault injection; synthetic multi-partition
- * workloads (spawnOn/postCross) must be deterministic across repeated
- * runs and across partition counts; and the executive's safety rails
- * (lookahead violations, out-of-range partitions) must trip.
+ * HOWSIM_PDES setting, fault-free and under fault injection;
+ * synthetic multi-partition workloads (spawnOn/postCross) must be
+ * deterministic across repeated runs and across partition counts;
+ * and the executive's safety rails (lookahead violations,
+ * out-of-range partitions) must trip.
  */
 
 #include <gtest/gtest.h>
@@ -90,26 +90,15 @@ expectPdesInvariant(const ExperimentConfig &config,
     }
 }
 
-TEST(PdesConformance, SortBreakdownAcrossSchedAndXfer)
+TEST(PdesConformance, SortBreakdownAgreesAcrossPartitions)
 {
     // Figure 3's headline configuration: external sort on the Active
-    // Disk array at the smallest figure scale, under every scheduler
-    // x transfer-engine combination.
-    for (auto sched : {sim::SchedPolicy::Heap, sim::SchedPolicy::Ladder}) {
-        for (auto xfer : {bus::XferPolicy::Coro, bus::XferPolicy::Calendar}) {
-            ExperimentConfig config;
-            config.arch = Arch::ActiveDisk;
-            config.task = workload::TaskKind::Sort;
-            config.scale = 16;
-            config.sched = sched;
-            config.xfer = xfer;
-            expectPdesInvariant(
-                config,
-                std::string("sort sched=")
-                    + sim::schedPolicyName(sched)
-                    + " xfer=" + bus::xferPolicyName(xfer));
-        }
-    }
+    // Disk array at the smallest figure scale.
+    ExperimentConfig config;
+    config.arch = Arch::ActiveDisk;
+    config.task = workload::TaskKind::Sort;
+    config.scale = 16;
+    expectPdesInvariant(config, "sort");
 }
 
 TEST(PdesConformance, AllArchitecturesAgree)
@@ -159,7 +148,7 @@ Trace
 runPingWorkload(int nparts, int pingers, int hops)
 {
     constexpr Tick lookahead = 1000;
-    Simulator simulator(sim::SchedPolicy::Ladder, nparts);
+    Simulator simulator(nparts);
     simulator.setLookahead(lookahead);
     // One vector per partition: only that partition's thread appends,
     // so no synchronization is needed.
@@ -215,7 +204,7 @@ TEST(PdesConformance, SyntheticWorkloadInvariantAcrossPartitionCounts)
     constexpr Tick lookahead = 1000;
     auto runHomed = [&](int physParts) {
         constexpr int logicalHomes = 4;
-        Simulator simulator(sim::SchedPolicy::Ladder, physParts);
+        Simulator simulator(physParts);
         simulator.setLookahead(lookahead);
         std::vector<Trace> perPart(
             static_cast<std::size_t>(physParts));
@@ -255,7 +244,7 @@ TEST(PdesConformance, SyntheticWorkloadInvariantAcrossPartitionCounts)
 
 TEST(PdesConformance, StatsCountWindowsAndMailboxTraffic)
 {
-    Simulator simulator(sim::SchedPolicy::Ladder, 2);
+    Simulator simulator(2);
     simulator.setLookahead(500);
     std::vector<int> delivered; // touched only by partition 0
     auto sender = [&]() -> Coro<void> {
@@ -285,7 +274,7 @@ TEST(PdesConformanceDeathTest, LookaheadViolationPanics)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     auto violate = [] {
-        Simulator simulator(sim::SchedPolicy::Ladder, 2);
+        Simulator simulator(2);
         simulator.setLookahead(10);
         auto body = []() -> Coro<void> {
             co_await sim::delay(3);
@@ -305,13 +294,13 @@ TEST(PdesConformanceDeathTest, OutOfRangePartitionsPanic)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     auto badSpawn = [] {
-        Simulator simulator(sim::SchedPolicy::Ladder, 2);
+        Simulator simulator(2);
         auto body = []() -> Coro<void> { co_return; };
         auto p = simulator.spawnOn(5, body(), "lost");
     };
     EXPECT_DEATH(badSpawn(), "partition");
     auto badPost = [] {
-        Simulator simulator(sim::SchedPolicy::Ladder, 2);
+        Simulator simulator(2);
         simulator.postCross(7, 100, [] {});
     };
     EXPECT_DEATH(badPost(), "partition");

@@ -1,24 +1,24 @@
 /**
  * @file
- * Scheduler conformance: the ladder queue must drain in exactly the
- * order the reference binary heap does — same ticks, same same-tick
- * FIFO resolution, for any schedule/pop interleaving. The simulator
- * treats the two policies as interchangeable (results bit-identical,
- * only host time differs), and these tests are what make that claim
- * safe: a randomized differential fuzz plus directed cases for the
- * ladder's structural edges (far-future spill, rung split, refill
- * boundaries, tick saturation).
+ * Scheduler conformance: the ladder queue behind sim::EventQueue must
+ * drain in exactly the order the binary-heap oracle
+ * (tests/oracle/event_heap.hh) does — same ticks, same same-tick
+ * FIFO resolution, for any schedule/pop interleaving. A randomized
+ * differential fuzz plus directed cases for the ladder's structural
+ * edges (far-future spill, rung split, refill boundaries, tick
+ * saturation) make that claim safe.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
+#include "oracle/event_heap.hh"
 #include "sim/event_queue.hh"
 
 using namespace howsim::sim;
+using howsim::oracle::HeapQueue;
 
 namespace
 {
@@ -59,8 +59,8 @@ using Trace = std::vector<std::pair<Tick, int>>;
  */
 struct Twins
 {
-    EventQueue heap{SchedPolicy::Heap};
-    EventQueue ladder{SchedPolicy::Ladder};
+    HeapQueue heap;
+    EventQueue ladder;
     Trace heapTrace, ladderTrace;
     int nextId = 0;
 
@@ -227,53 +227,55 @@ TEST(SchedConformance, MaxTickEventsDrain)
 
 // The simulator's real pattern: handlers schedule follow-on events
 // while the queue drains. Successor chains must stay identical.
+template <typename Queue>
+Trace
+drainHandlerChains()
+{
+    Queue q;
+    Trace trace;
+    Rng rng(3);
+    int nextId = 0;
+    // Self-perpetuating handlers, terminated by event budget.
+    struct Chain
+    {
+        Queue &q;
+        Trace &trace;
+        Rng &rng;
+        int &nextId;
+
+        void
+        hop(Tick when, int id, int hopsLeft)
+        {
+            q.schedule(when, [this, when, id, hopsLeft] {
+                trace.emplace_back(when, id);
+                if (hopsLeft > 0) {
+                    hop(when + rng.below(milliseconds(1)) + 1,
+                        nextId++, hopsLeft - 1);
+                }
+            });
+        }
+    } chain{q, trace, rng, nextId};
+    for (int i = 0; i < 64; ++i)
+        chain.hop(rng.below(microseconds(10)), nextId++, 50);
+    while (!q.empty())
+        q.pop()();
+    return trace;
+}
+
 TEST(SchedConformance, HandlersSchedulingDuringDrain)
 {
-    for (auto policy : {SchedPolicy::Heap, SchedPolicy::Ladder}) {
-        EventQueue q(policy);
-        Trace trace;
-        Rng rng(3);
-        int nextId = 0;
-        // Self-perpetuating handlers, terminated by event budget.
-        struct Chain
-        {
-            EventQueue &q;
-            Trace &trace;
-            Rng &rng;
-            int &nextId;
-
-            void
-            hop(Tick when, int id, int hopsLeft)
-            {
-                q.schedule(when, [this, when, id, hopsLeft] {
-                    trace.emplace_back(when, id);
-                    if (hopsLeft > 0) {
-                        hop(when + rng.below(milliseconds(1)) + 1,
-                            nextId++, hopsLeft - 1);
-                    }
-                });
-            }
-        } chain{q, trace, rng, nextId};
-        for (int i = 0; i < 64; ++i)
-            chain.hop(rng.below(microseconds(10)), nextId++, 50);
-        while (!q.empty())
-            q.pop()();
-        static Trace reference;
-        if (policy == SchedPolicy::Heap) {
-            reference = trace;
-        } else {
-            ASSERT_EQ(trace.size(), reference.size());
-            for (std::size_t i = 0; i < trace.size(); ++i)
-                ASSERT_EQ(trace[i], reference[i]) << "position " << i;
-        }
-    }
+    Trace reference = drainHandlerChains<HeapQueue>();
+    Trace trace = drainHandlerChains<EventQueue>();
+    ASSERT_EQ(trace.size(), reference.size());
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        ASSERT_EQ(trace[i], reference[i]) << "position " << i;
 }
 
 // Occupancy must account for every scheduled event across the three
 // tiers, before and during a drain.
 TEST(SchedConformance, OccupancySumsToSize)
 {
-    EventQueue q(SchedPolicy::Ladder);
+    EventQueue q;
     Rng rng(5);
     for (int i = 0; i < 5000; ++i)
         q.schedule(rng.below(seconds(1)), [] {});
@@ -389,7 +391,7 @@ TEST(SchedConformance, SameTickHeavyTrafficDrainsIdentically)
 // prefix of the sorted run is no longer counted.
 TEST(SchedConformance, OccupancyTracksThePartiallyDrainedRun)
 {
-    EventQueue q(SchedPolicy::Ladder);
+    EventQueue q;
     const Tick burst = milliseconds(9);
     for (int i = 0; i < 512; ++i)
         q.schedule(burst, [] {});
@@ -398,19 +400,4 @@ TEST(SchedConformance, OccupancyTracksThePartiallyDrainedRun)
     auto occ = q.ladderOccupancy();
     EXPECT_EQ(occ.bottom + occ.rungEvents + occ.top, q.size());
     EXPECT_EQ(q.size(), 312u);
-}
-
-// HOWSIM_SCHED selects the default policy; unset means ladder.
-TEST(SchedConformance, PolicySelectedFromEnvironment)
-{
-    ASSERT_EQ(setenv("HOWSIM_SCHED", "heap", 1), 0);
-    EXPECT_EQ(defaultSchedPolicy(), SchedPolicy::Heap);
-    EXPECT_EQ(EventQueue().policy(), SchedPolicy::Heap);
-
-    ASSERT_EQ(setenv("HOWSIM_SCHED", "ladder", 1), 0);
-    EXPECT_EQ(defaultSchedPolicy(), SchedPolicy::Ladder);
-    EXPECT_EQ(EventQueue().policy(), SchedPolicy::Ladder);
-
-    ASSERT_EQ(unsetenv("HOWSIM_SCHED"), 0);
-    EXPECT_EQ(defaultSchedPolicy(), SchedPolicy::Ladder);
 }

@@ -67,25 +67,11 @@ TEST(TrafficDriver, TimelineIsBitIdenticalAcrossHostKnobs)
     TrafficResult ref = traffic::runTraffic(base);
     ASSERT_GT(ref.completed, 0u);
 
-    for (int variant = 0; variant < 4; ++variant) {
+    for (int pdes : {1, 2, 4}) {
         ExperimentConfig config = base;
-        switch (variant) {
-          case 0:
-            config.sched = sim::SchedPolicy::Heap;
-            break;
-          case 1:
-            config.sched = sim::SchedPolicy::Ladder;
-            break;
-          case 2:
-            config.xfer = bus::XferPolicy::Calendar;
-            break;
-          case 3:
-            config.pdes = 2;
-            break;
-        }
+        config.pdes = pdes;
         TrafficResult got = traffic::runTraffic(config);
-        EXPECT_EQ(got.fingerprint, ref.fingerprint)
-            << "variant " << variant;
+        EXPECT_EQ(got.fingerprint, ref.fingerprint) << "pdes " << pdes;
         EXPECT_EQ(got.completed, ref.completed);
         EXPECT_EQ(got.lastCompletion, ref.lastCompletion);
         ASSERT_EQ(got.classes.size(), ref.classes.size());
@@ -173,8 +159,7 @@ TEST(TrafficDriver, FaultedPlanStaysDeterministic)
                     "net.drop.rate=1e-3";
     TrafficResult a = traffic::runTraffic(config);
     ExperimentConfig other = config;
-    other.xfer = bus::XferPolicy::Calendar;
-    other.sched = sim::SchedPolicy::Heap;
+    other.pdes = 2;
     TrafficResult b = traffic::runTraffic(other);
     EXPECT_GT(a.completed, 0u);
     EXPECT_EQ(a.fingerprint, b.fingerprint);
@@ -221,8 +206,7 @@ TEST(TrafficDriver, FailStopRetriesOverlappingQueriesExactlyOnce)
     EXPECT_LE(a.retried, a.completed);
 
     ExperimentConfig other = config;
-    other.sched = sim::SchedPolicy::Heap;
-    other.xfer = bus::XferPolicy::Calendar;
+    other.pdes = 2;
     TrafficResult b = traffic::runTraffic(other);
     EXPECT_EQ(a.fingerprint, b.fingerprint);
     EXPECT_EQ(a.retried, b.retried);
@@ -244,7 +228,7 @@ TEST(TrafficDriver, SloShedsDoomedQueriesUnderDegradedMachine)
     EXPECT_EQ(a.completed + a.shed, a.submitted);
 
     ExperimentConfig other = config;
-    other.sched = sim::SchedPolicy::Heap;
+    other.pdes = 2;
     TrafficResult b = traffic::runTraffic(other);
     EXPECT_EQ(a.shed, b.shed);
     EXPECT_EQ(a.fingerprint, b.fingerprint);
