@@ -11,7 +11,7 @@
  * datasets so each query is short enough to build a distribution
  * from; max.inflight=4 concurrent queries share the machine, and
  * everything beyond queues. Timelines are bit-identical across
- * HOWSIM_JOBS / HOWSIM_PDES — the per-run fingerprint table at the
+ * HOWSIM_JOBS — the per-run fingerprint table at the
  * end is what CI asserts on.
  *
  * Usage: traffic_sweep [--quick]

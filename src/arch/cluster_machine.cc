@@ -188,64 +188,14 @@ ClusterMachine::retireStream(int stream)
 }
 
 void
-ClusterMachine::describePartitions(sim::PartitionGraph &graph)
+ClusterMachine::useKeyedHandshakes()
 {
-    // Fabric/front-end domain 0: the stage buses, the link sequence
-    // counters, the fault decisions and the front-end's merge work
-    // all execute there (and partition 0 is the calling thread, so
-    // the obs session and fault injector keep working). Each node is
-    // its own domain: the only traffic across the cut is the message
-    // layer's keyed send/deliver/ack handshake, one switch hop per
-    // leg, so the cut-edge latency is the fabric's hop latency.
-    constexpr int feDomain = 0;
-    fabComp = graph.addComponent("cluster.fabric", feDomain);
-    int fe = graph.addComponent("cluster.frontend", feDomain);
-    sim::Tick latency = crossLatency();
-    graph.addEdge(fabComp, fe, latency);
-    nodeComps.clear();
-    for (int n = 0; n < size(); ++n) {
-        // Fail-stop takeover merges a victim into its peer's domain:
-        // the victim's share of a query runs on the peer's CPU and
-        // disk after the redirect, so the two must share a partition.
-        // Healthy nodes still fan out under PDES.
-        int domain = 1 + n;
-        if (!stopSched.empty() && stopSched.victimOf(n) != nullptr)
-            domain = 1 + stopSched.buddyOf(n, size());
-        int c = graph.addComponent(strprintf("cluster.node%d", n),
-                                   domain);
-        graph.addEdge(c, fabComp, latency);
-        nodeComps.push_back(c);
-    }
-}
-
-void
-ClusterMachine::adoptPlan(const sim::PartitionGraph::Plan &plan)
-{
-    if (fabComp < 0
-        || nodeComps.size() != static_cast<std::size_t>(size()))
-        panic("ClusterMachine::adoptPlan before describePartitions");
-    fePart = plan.partitionOf[static_cast<std::size_t>(fabComp)];
-    nodeParts.resize(nodeComps.size());
-    for (int n = 0; n < size(); ++n) {
-        auto idx = static_cast<std::size_t>(n);
-        nodeParts[idx] = plan.partitionOf[static_cast<std::size_t>(
-            nodeComps[idx])];
-    }
-    // Network host ids run workers first, front-end last.
-    std::vector<int> hostParts = nodeParts;
-    hostParts.push_back(fePart);
-    msgLayer->setTopology(fePart, crossLatency(),
-                          std::move(hostParts));
-    // Rebuild-band queues, pre-created for the same reason the batch
-    // band is: the rebuild loop recv()s on the victim's partition and
-    // a lazy queue-map insert would race once threads split.
-    for (const fault::StopSchedule::Victim &v : stopSched.victims)
-        msgLayer->reserveTag(v.device, kRebuildTag);
+    msgLayer->setTopology(crossLatency());
     // A single node keeps the legacy barrier: with one participant
     // the keyed round trip adds nothing (and logCost(1) leaves no
     // release margin for the arrival edge).
     if (size() > 1)
-        syncBarrier->setTopology(fePart, crossLatency(), nodeParts);
+        syncBarrier->setTopology(crossLatency());
 }
 
 } // namespace howsim::arch

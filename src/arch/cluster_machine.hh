@@ -79,10 +79,10 @@ class ClusterMachine
 
     /**
      * Barrier over the worker nodes, arriving as @p node. The batch
-     * barrier (stream 0) uses the partitioned keyed protocol once a
-     * plan is adopted; streams get independent legacy barriers
-     * (identical cost model, co-located traffic only) so concurrent
-     * traffic queries never gate each other's phase boundaries.
+     * barrier (stream 0) uses the keyed arrival protocol once
+     * useKeyedHandshakes() has run; streams get independent legacy
+     * barriers (identical cost model) so concurrent traffic queries
+     * never gate each other's phase boundaries.
      */
     sim::Coro<void> barrier(int node, int stream = 0);
 
@@ -98,40 +98,17 @@ class ClusterMachine
     std::uint64_t driveCapacity() const;
 
     /**
-     * Register this machine's components and interconnect edges with
-     * a partition planner. The fabric and the front-end form one
-     * domain (every stage-bus transfer, fault decision and front-end
-     * merge runs there); each node — CPU, PCI bus and local disk — is
-     * its own domain, reached only through the message layer's keyed
-     * send/deliver/ack handshakes, whose cut edges carry the fabric's
-     * minimum hop latency (DESIGN.md §14). Records component ids for
-     * adoptPlan().
+     * Switch the message layer's cross-host sends and the batch
+     * barrier to their keyed protocols (DESIGN.md §14). Allocates
+     * key streams, so call it once, right after construction;
+     * runExperiment does. Traffic runs and unit tests keep the
+     * legacy single-frame sends and shared-state barrier.
      */
-    void describePartitions(sim::PartitionGraph &graph);
+    void useKeyedHandshakes();
 
     /**
-     * Adopt a partition plan produced from describePartitions()'s
-     * graph: homes the message layer's send protocol and switches
-     * the batch barrier to the partitioned arrival protocol.
-     */
-    void adoptPlan(const sim::PartitionGraph::Plan &plan);
-
-    /** Partition of the front-end/fabric domain under the plan. */
-    int frontendPartition() const { return fePart; }
-
-    /** Partition of node @p n under the plan. */
-    int
-    nodePartition(int n) const
-    {
-        return nodeParts.empty()
-                   ? fePart
-                   : nodeParts[static_cast<std::size_t>(n)];
-    }
-
-    /**
-     * Minimum latency of one keyed hop in the send protocol — the
-     * fabric's switch-hop latency, and therefore the lookahead of
-     * every node/fabric cut edge.
+     * Latency of one keyed hop in the send protocol: the fabric's
+     * switch-hop latency.
      */
     sim::Tick crossLatency() const
     {
@@ -148,8 +125,7 @@ class ClusterMachine
      * One failure-detector probe round trip through the switch
      * fabric, from the front-end host to @p node: a request frame, an
      * OS interrupt turnaround, an ack frame — unless @p node is down
-     * at probe arrival, in which case there is no ack. Executes on
-     * the front-end/fabric partition.
+     * at probe arrival, in which case there is no ack.
      */
     sim::Coro<bool> heartbeat(int node);
 
@@ -157,8 +133,7 @@ class ClusterMachine
      * Copy one replica chunk back onto rejoined @p node: a replica
      * read on its takeover peer, a message-layer transfer on the
      * reserved rebuild tag band, a local write — all contending with
-     * foreground queries. Executes on the victim's partition (merged
-     * with the peer's; see describePartitions).
+     * foreground queries.
      */
     sim::Coro<void> rebuildChunk(int victim, std::uint64_t offset,
                                  std::uint64_t bytes);
@@ -195,12 +170,6 @@ class ClusterMachine
     // Fail-stop takeover (empty schedule / null when not configured).
     fault::StopSchedule stopSched;
     fault::Injector *stopInj = nullptr;
-
-    // Partition-plan bookkeeping (describePartitions / adoptPlan).
-    int fabComp = -1;
-    std::vector<int> nodeComps;
-    int fePart = 0;
-    std::vector<int> nodeParts;
 };
 
 } // namespace howsim::arch

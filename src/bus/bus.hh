@@ -191,8 +191,8 @@ class Bus
     /**
      * Lower bound on the send-to-delivery latency of any transfer:
      * even a zero-byte booking occupies a channel for the startup
-     * (arbitration) time. Feeds PartitionGraph edges as the PDES
-     * lookahead contribution of this interconnect.
+     * (arbitration) time. The keyed handshakes over this
+     * interconnect hop at this latency.
      */
     sim::Tick minGrantLatency() const { return busParams.startup; }
 

@@ -5,8 +5,8 @@
  * Each bench main() owns one BenchHarness for its whole run. On
  * destruction the harness merges a record — wall-clock seconds,
  * simulator events executed, events/sec (omitted for benches that
- * execute no events), worker count, the PDES partition count,
- * plus any extra metrics the benchmark attached — into
+ * execute no events), worker count, the host's hardware
+ * concurrency, plus any extra metrics the benchmark attached — into
  * BENCH_events.json (path overridable via HOWSIM_BENCH_JSON). The
  * committed copy at the repo root tracks the simulator's performance
  * trajectory PR over PR; docs/perf.md explains how to read it.

@@ -88,16 +88,6 @@ validateConfig(const ExperimentConfig &config,
     }
     if (config.drive.sectorBytes == 0)
         fatal("ExperimentConfig: drive.sectorBytes must be positive");
-    if (config.pdes < 0 || config.pdes > sim::maxPdesPartitions) {
-        fatal("ExperimentConfig: pdes=%d; expected 0 (= HOWSIM_PDES) "
-              "or a partition count between 1 and %d",
-              config.pdes, sim::maxPdesPartitions);
-    }
-    if (config.pdes > config.scale) {
-        fatal("ExperimentConfig: pdes=%d partitions exceed scale=%d "
-              "devices; every partition needs at least one device",
-              config.pdes, config.scale);
-    }
     if (plan.stopConfigured()) {
         // Collect every fail-stop violation and report them together:
         // a matrix driver fixing its plan should see the whole damage
@@ -171,44 +161,12 @@ publishFaultMetrics(obs::Session *sess, fault::Injector *inj)
 }
 
 /**
- * Feed the machine's topology to the partition planner and adopt the
- * resulting placement and lookahead. Every machine declares per-device
- * domains (host(s), per-drive/node, interconnect) whose cut edges
- * carry the honest handshake latencies, so the paper figures fan out
- * across partitions for real (DESIGN.md §14). This always runs — the
- * serial executive adopts the same (all-partition-0) plan, keeping
- * machine-side key-stream allocation identical between serial and
- * parallel runs, which is what makes their event orders comparable.
- * Fail-stop plans partition like any other run: the machines merge
- * each victim's domain into its takeover buddy's (their
- * describePartitions), so no forced co-location remains.
- */
-template <typename Machine>
-void
-planPartitions(sim::Simulator &simulator, Machine &machine)
-{
-    sim::PartitionGraph graph;
-    machine.describePartitions(graph);
-    int nparts = simulator.partitions();
-    sim::PartitionGraph::Plan plan = graph.plan(nparts);
-    if (plan.groups < nparts) {
-        // More partitions than co-location groups: the surplus
-        // partitions idle through every window. Warn rather than
-        // silently leaving cores spinning.
-        warn("HOWSIM_PDES=%d exceeds the machine's %d domain "
-             "group(s); %d partition(s) will idle",
-             nparts, plan.groups, nparts - plan.groups);
-    }
-    simulator.setLookahead(plan.lookahead);
-    machine.adoptPlan(plan);
-}
-
-/**
  * The failure-detector wiring of one faulted experiment: the
  * machine-specific AvailabilityTransport adapter plus the Detector
- * spawned through it. Construct after planPartitions (the detector
- * homes its monitors by the adopted partitions) and before the runner
- * executes; inert when no fail-stop is scheduled. Victims that rejoin
+ * spawned through it. Construct after the machine's keyed handshakes
+ * are switched on (key-stream allocation order is part of the event
+ * order) and before the runner executes; inert when no fail-stop is
+ * scheduled. Victims that rejoin
  * trigger a rebuild of their share of the dataset (inputBytes/scale —
  * the striped share every machine gives one device).
  */
@@ -276,13 +234,7 @@ runExperiment(const ExperimentConfig &config)
     // Installed after the obs session so the scope can register its
     // fault-class timeline probes; inactive plans install nothing.
     fault::Scope faultScope(plan);
-    // 0 = the HOWSIM_PDES selection, clamped so a matrix-wide
-    // HOWSIM_PDES never exceeds the experiment's device count.
-    int pdesParts = config.pdes > 0
-                        ? config.pdes
-                        : std::min(sim::defaultPdesPartitions(),
-                                   config.scale);
-    sim::Simulator simulator(pdesParts);
+    sim::Simulator simulator;
     switch (config.arch) {
       case Arch::ActiveDisk: {
         diskos::AdParams params;
@@ -293,13 +245,12 @@ runExperiment(const ExperimentConfig &config)
         params.frontendCpuMhz = config.adFrontendMhz;
         diskos::ActiveDiskArray machine(simulator, config.scale,
                                         config.drive, params);
-        planPartitions(simulator, machine);
+        machine.useKeyedHandshakes();
         AvailabilityRig<AdAvailability, diskos::ActiveDiskArray> rig(
             simulator, faultScope.injector(), machine,
             data.inputBytes, config.scale);
         tasks::AdTaskRunner runner(simulator, machine, config.costs);
         auto result = runner.run(config.task, data);
-        result.pdes = simulator.pdesStats();
         rig.finish(result, obsSession.get());
         publishFaultMetrics(obsSession.get(), faultScope.injector());
         if (obsSession)
@@ -309,14 +260,13 @@ runExperiment(const ExperimentConfig &config)
       case Arch::Cluster: {
         arch::ClusterMachine machine(simulator, config.scale,
                                      config.drive);
-        planPartitions(simulator, machine);
+        machine.useKeyedHandshakes();
         AvailabilityRig<ClusterAvailability, arch::ClusterMachine>
             rig(simulator, faultScope.injector(), machine,
                 data.inputBytes, config.scale);
         tasks::ClusterTaskRunner runner(simulator, machine,
                                         config.costs);
         auto result = runner.run(config.task, data);
-        result.pdes = simulator.pdesStats();
         rig.finish(result, obsSession.get());
         publishFaultMetrics(obsSession.get(), faultScope.injector());
         if (obsSession)
@@ -329,13 +279,11 @@ runExperiment(const ExperimentConfig &config)
         params.fcLoops = config.interconnectLoops;
         smp::SmpMachine machine(simulator, config.scale, config.scale,
                                 config.drive, params);
-        planPartitions(simulator, machine);
         AvailabilityRig<SmpAvailability, smp::SmpMachine> rig(
             simulator, faultScope.injector(), machine,
             data.inputBytes, config.scale);
         tasks::SmpTaskRunner runner(simulator, machine, config.costs);
         auto result = runner.run(config.task, data);
-        result.pdes = simulator.pdesStats();
         rig.finish(result, obsSession.get());
         publishFaultMetrics(obsSession.get(), faultScope.injector());
         if (obsSession)

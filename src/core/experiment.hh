@@ -75,18 +75,6 @@ struct ExperimentConfig
 
     /** @} */
 
-    /**
-     * Parallel-DES partition count for the experiment's Simulator.
-     * 0 (the default) resolves to the HOWSIM_PDES environment
-     * selection clamped to @ref scale, so a matrix-wide HOWSIM_PDES=2
-     * never over-partitions a small experiment; an explicit positive
-     * value is taken as-is and must not exceed @ref scale
-     * (validateConfig rejects more partitions than devices). This is
-     * a host-side choice: simulated results are bit-identical at any
-     * setting.
-     */
-    int pdes = 0;
-
     workload::CostModel costs = workload::CostModel::calibrated();
 
     /**

@@ -76,22 +76,10 @@ ActiveDiskArray::ActiveDiskArray(sim::Simulator &s, int ndisks,
             stopInj = inj;
             stopSched
                 = fault::StopSchedule::resolve(inj->plan(), ndisks);
-            // Pre-create each victim's rebuild inbox: the rebuild
-            // loop runs on the victim's partition while traffic
-            // queries touch the same channel map from theirs, so the
-            // map must never be mutated mid-run.
-            for (const fault::StopSchedule::Victim &v :
-                 stopSched.victims) {
-                streamInboxes.emplace(
-                    std::make_pair(v.device, fault::kRebuildStream),
-                    std::make_unique<sim::Channel<AdBlock>>(
-                        inboxCapacity(adParams)));
-            }
         }
     }
-    // Keyed-protocol streams, allocated last and in fixed order so
-    // stream identity — part of the deterministic event order — is
-    // independent of how the machine is later partitioned.
+    // Keyed-protocol streams, allocated last and in fixed order:
+    // stream identity is part of the deterministic event order.
     driveKeys.reserve(static_cast<std::size_t>(ndisks));
     for (int d = 0; d < ndisks; ++d)
         driveKeys.push_back(s.allocKeyStream());
@@ -353,24 +341,23 @@ ActiveDiskArray::sendFeLeg(int src, int dst, int stream,
     if (!adParams.directD2d)
         co_await relayViaFrontend(dst, bytes);
     ActiveDiskArray *self = this;
-    int ackPart = drivePartition(src);
     simulator.postKeyed(
-        drivePartition(dst), simulator.now() + crossLatency(),
-        feKeys.next(), [self, dst, stream, block, ackPart, acked] {
+        simulator.now() + crossLatency(), feKeys.next(),
+        [self, dst, stream, block, acked] {
             self->simulator.spawnDetached(
-                self->deliverLeg(dst, stream, block, ackPart, acked),
+                self->deliverLeg(dst, stream, block, acked),
                 "addeliver");
         });
 }
 
 sim::Coro<void>
 ActiveDiskArray::deliverLeg(int dst, int stream, AdBlock *block,
-                            int ackPart, sim::Trigger *acked)
+                            sim::Trigger *acked)
 {
     drives[static_cast<std::size_t>(dst)].stats.bytesReceived
         += block->bytes;
     co_await inbox(dst, stream).send(std::move(*block));
-    simulator.postKeyed(ackPart, simulator.now() + crossLatency(),
+    simulator.postKeyed(simulator.now() + crossLatency(),
                         driveKeys[static_cast<std::size_t>(dst)].next(),
                         [acked] { acked->fire(); });
 }
@@ -388,9 +375,8 @@ ActiveDiskArray::feIngestLeg(int src, int stream, AdBlock *block,
     co_await feCpu->copyBytes(bytes, adParams.frontendCopyRefRate());
     feStats.bytesIngested += bytes;
     co_await frontendInbox(stream).send(std::move(*block));
-    simulator.postKeyed(drivePartition(src),
-                        simulator.now() + crossLatency(),
-                        feKeys.next(), [acked] { acked->fire(); });
+    simulator.postKeyed(simulator.now() + crossLatency(), feKeys.next(),
+                        [acked] { acked->fire(); });
 }
 
 sim::Coro<void>
@@ -410,8 +396,8 @@ ActiveDiskArray::send(int src, int dst, AdBlock block, int stream)
     std::uint64_t bytes = block.bytes;
 
     co_await from.commBuffers->acquire();
-    // Keyed handshake: the request crosses to the loop/front-end
-    // partition, the transfer (and relay) runs there, the block
+    // Keyed handshake: the request crosses to the loop/front-end,
+    // the transfer (and relay) runs there, the block
     // crosses to the destination drive, and the ack releases this
     // frame — the DiskOS stream buffer is held until the block is
     // enqueued at the destination (flow control covers the whole
@@ -421,7 +407,7 @@ ActiveDiskArray::send(int src, int dst, AdBlock block, int stream)
     sim::Trigger *ackedPtr = &acked;
     ActiveDiskArray *self = this;
     simulator.postKeyed(
-        fePart, simulator.now() + crossLatency(),
+        simulator.now() + crossLatency(),
         driveKeys[static_cast<std::size_t>(src)].next(),
         [self, src, dst, stream, blockPtr, ackedPtr] {
             self->simulator.spawnDetached(
@@ -451,7 +437,7 @@ ActiveDiskArray::sendToFrontend(int src, AdBlock block, int stream)
     sim::Trigger *ackedPtr = &acked;
     ActiveDiskArray *self = this;
     simulator.postKeyed(
-        fePart, simulator.now() + crossLatency(),
+        simulator.now() + crossLatency(),
         driveKeys[static_cast<std::size_t>(src)].next(),
         [self, src, stream, blockPtr, ackedPtr] {
             self->simulator.spawnDetached(
@@ -470,8 +456,8 @@ ActiveDiskArray::frontendSend(int dst, AdBlock block, int stream)
         panic("ActiveDiskArray::frontendSend: bad destination %d", dst);
     block.src = -1;
     std::uint64_t bytes = block.bytes;
-    // Runs on the front-end partition: copy-out and crossing are
-    // local; only the delivery leg crosses to the drive.
+    // Copy-out and crossing run here, on the front end; only the
+    // delivery leg crosses to the drive.
     co_await feCpu->copyBytes(bytes, adParams.frontendCopyRefRate());
     if (faultInj)
         co_await loopTransfer(-1, dst, bytes);
@@ -481,14 +467,11 @@ ActiveDiskArray::frontendSend(int dst, AdBlock block, int stream)
     AdBlock *blockPtr = &block;
     sim::Trigger *ackedPtr = &acked;
     ActiveDiskArray *self = this;
-    int ackPart = fePart;
     simulator.postKeyed(
-        drivePartition(dst), simulator.now() + crossLatency(),
-        feKeys.next(),
-        [self, dst, stream, blockPtr, ackPart, ackedPtr] {
+        simulator.now() + crossLatency(), feKeys.next(),
+        [self, dst, stream, blockPtr, ackedPtr] {
             self->simulator.spawnDetached(
-                self->deliverLeg(dst, stream, blockPtr, ackPart,
-                                 ackedPtr),
+                self->deliverLeg(dst, stream, blockPtr, ackedPtr),
                 "addeliver");
         });
     co_await acked.wait();
@@ -517,54 +500,14 @@ ActiveDiskArray::barrier(int participant, int stream)
 }
 
 void
-ActiveDiskArray::describePartitions(sim::PartitionGraph &graph)
+ActiveDiskArray::useKeyedHandshakes()
 {
-    // Loop/front-end domain 0: every transfer, relay and front-end
-    // copy runs there, and it owns the per-link sequence counters.
-    // Each drive is its own domain, reached only through the keyed
-    // send/deliver/ack handshakes whose legs cross at the loop's
-    // grant latency.
-    constexpr int loopDomain = 0;
-    loopComp = graph.addComponent("ad.fc", loopDomain);
-    int fe = graph.addComponent("ad.frontend", loopDomain);
-    sim::Tick latency = crossLatency();
-    graph.addEdge(loopComp, fe, latency);
-    driveComps.clear();
-    for (int d = 0; d < size(); ++d) {
-        // Fail-stop takeover merges a victim into its buddy's
-        // domain: the victim's disklets run on the buddy's hardware
-        // after the redirect, so the two must share a partition.
-        // Non-victim domains still fan out under PDES — the keyed
-        // handshakes, not forced co-location, carry the rest.
-        int domain = 1 + d;
-        if (!stopSched.empty() && stopSched.victimOf(d) != nullptr)
-            domain = 1 + stopSched.buddyOf(d, size());
-        int c = graph.addComponent(strprintf("ad.drive%d", d),
-                                   domain);
-        graph.addEdge(c, loopComp, latency);
-        driveComps.push_back(c);
-    }
-}
-
-void
-ActiveDiskArray::adoptPlan(const sim::PartitionGraph::Plan &plan)
-{
-    if (loopComp < 0
-        || driveComps.size() != static_cast<std::size_t>(size()))
-        panic("ActiveDiskArray::adoptPlan before describePartitions");
-    fePart = plan.partitionOf[static_cast<std::size_t>(loopComp)];
-    driveParts.resize(driveComps.size());
-    for (int d = 0; d < size(); ++d) {
-        auto idx = static_cast<std::size_t>(d);
-        driveParts[idx] = plan.partitionOf[static_cast<std::size_t>(
-            driveComps[idx])];
-    }
     // The batch barrier's home is the front-end; arrivals cross at
     // the loop grant latency, which setTopology checks against the
     // completion cost. A single-drive array keeps the legacy path
     // (logCost(1) == 0 leaves no margin for an edge).
     if (size() > 1)
-        syncBarrier->setTopology(fePart, crossLatency(), driveParts);
+        syncBarrier->setTopology(crossLatency());
 }
 
 } // namespace howsim::diskos

@@ -31,8 +31,7 @@ Detector::Detector(sim::Simulator &s, Injector &injector,
     watchRemaining = static_cast<int>(sched.victims.size());
     // Key-stream allocation order is part of the determinism
     // contract: one rejoin-handshake stream per victim, allocated
-    // here (construction time) in victim order, regardless of how
-    // the machine was partitioned.
+    // here (construction time) in victim order.
     rebuildKeys.reserve(sched.victims.size());
     for (std::size_t i = 0; i < sched.victims.size(); ++i)
         rebuildKeys.push_back(simulator.allocKeyStream());
@@ -43,13 +42,12 @@ Detector::start()
 {
     if (sched.empty())
         return;
-    int home = transport.homePartition();
     // Monitor every device, not just the victims: the probe traffic
     // of healthy devices is part of the interconnect load, and a
     // fail-slow (but alive) device must be seen to keep its lease —
     // the false-positive bound detector_test pins.
     for (int d = 0; d < transport.deviceCount(); ++d)
-        simulator.spawnOn(home, monitor(d), strprintf("hb.monitor%d", d));
+        simulator.spawn(monitor(d), strprintf("hb.monitor%d", d));
 }
 
 void
@@ -73,13 +71,10 @@ Detector::noteRejoin(int device)
         ++idx;
     if (rebuildBytes == 0)
         return;
-    // Start the rebuild loop on the victim's partition via a keyed
-    // handshake — posted even when the partitions coincide, so the
-    // serial and partitioned executives schedule the identical event
-    // (the machines' always-on split protocols set the precedent).
-    int part = transport.devicePartition(device);
+    // Start the rebuild loop on the victim via a keyed handshake one
+    // interconnect hop out (DESIGN.md §14).
     sim::Tick when = simulator.now() + transport.crossLatency();
-    simulator.postKeyed(part, when, rebuildKeys[idx].next(),
+    simulator.postKeyed(when, rebuildKeys[idx].next(),
                         [this, device] {
                             simulator.spawnDetached(
                                 rebuild(device),
@@ -144,7 +139,7 @@ Detector::rebuild(int victim)
         sim::Tick chunkStart = simulator.now();
         co_await transport.rebuildChunk(victim, off, n);
         ++inj.counters().recoveredBlocks;
-        rebuilt.fetch_add(n, std::memory_order_relaxed);
+        observed.rebuiltBytes += n;
         // Throttle: a chunk occupies at least its rebuild-rate
         // quantum, so foreground queries keep a bounded share of the
         // disks and interconnect however idle the machine is.
@@ -159,9 +154,7 @@ Detector::rebuild(int victim)
 AvailabilityStats
 Detector::stats() const
 {
-    AvailabilityStats out = observed;
-    out.rebuiltBytes = rebuilt.load(std::memory_order_relaxed);
-    return out;
+    return observed;
 }
 
 } // namespace howsim::fault

@@ -16,13 +16,12 @@
  * a per-site sequence number that advances in simulated event order.
  * No stateful RNG stream exists, so decisions cannot depend on host
  * thread interleaving: the same seed and plan give bit-identical
- * results under serial or parallel runners and executives.
+ * results at every HOWSIM_JOBS setting.
  */
 
 #ifndef HOWSIM_FAULT_FAULT_HH
 #define HOWSIM_FAULT_FAULT_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -172,8 +171,7 @@ struct FaultPlan
  * rejoin instants. Aliveness is a pure function of (plan, device,
  * time), so every layer — machines redirecting I/O, the detector
  * measuring latency, the traffic driver retrying queries — agrees on
- * it without exchanging state, which is what keeps timelines
- * bit-identical across the jobs x pdes matrix.
+ * it without exchanging state.
  */
 struct StopSchedule
 {
@@ -235,26 +233,20 @@ struct StopSchedule
     static StopSchedule resolve(const FaultPlan &plan, int count);
 };
 
-/**
- * Totals of injected events, readable by tests and timeline probes.
- * Fields are atomics because under the partitioned machines
- * (DESIGN.md §14) faults fire on whichever partition owns the faulted
- * device; increments commute, so the totals stay deterministic even
- * though the interleaving is not.
- */
+/** Totals of injected events, readable by tests and timeline probes. */
 struct Counters
 {
-    std::atomic<std::uint64_t> diskSlowRequests{0};
-    std::atomic<sim::Tick> diskSlowTicks{0};
-    std::atomic<std::uint64_t> diskMediaErrors{0};
-    std::atomic<std::uint64_t> diskRetries{0};
-    std::atomic<std::uint64_t> diskRemaps{0};
-    std::atomic<std::uint64_t> netDrops{0};
-    std::atomic<std::uint64_t> netCorruptions{0};
-    std::atomic<std::uint64_t> netRetransmits{0};
-    std::atomic<std::uint64_t> stopDeaths{0};
-    std::atomic<std::uint64_t> stopRedirects{0};
-    std::atomic<std::uint64_t> recoveredBlocks{0};
+    std::uint64_t diskSlowRequests = 0;
+    sim::Tick diskSlowTicks = 0;
+    std::uint64_t diskMediaErrors = 0;
+    std::uint64_t diskRetries = 0;
+    std::uint64_t diskRemaps = 0;
+    std::uint64_t netDrops = 0;
+    std::uint64_t netCorruptions = 0;
+    std::uint64_t netRetransmits = 0;
+    std::uint64_t stopDeaths = 0;
+    std::uint64_t stopRedirects = 0;
+    std::uint64_t recoveredBlocks = 0;
 };
 
 /** splitmix64 finalizer: the core of every injection decision. */

@@ -106,27 +106,14 @@ class MsgLayer
     void retireTagRange(int tagLo, int tagHi);
 
     /**
-     * Pre-create the (@p host, @p tag) queue outside the batch band
-     * — e.g. the rebuild band of a fail-stop victim. Must run on the
-     * construction thread before Simulator::run(): once partition
-     * threads split, a lazy queue-map insert would race.
+     * Switch cross-host send() to the keyed protocol (DESIGN.md §14):
+     * a chain of three coroutine legs (source, fabric, destination)
+     * stitched by keyed events @p edgeLatency (one switch hop) apart,
+     * instead of one frame spanning all three devices; loopback
+     * stays local to the host. Allocates key streams, so call it at
+     * machine-construction time, in fixed order.
      */
-    void reserveTag(int host, int tag);
-
-    /**
-     * Declare the partitioned topology (DESIGN.md §14): the fabric's
-     * partition — which owns the stage buses, the link sequence
-     * counters and the fault decisions — the minimum cut-edge latency
-     * (one switch hop), and each host's partition. From then on a
-     * cross-host send() is a chain of three coroutine legs (source,
-     * fabric, destination) stitched by keyed events, instead of one
-     * frame spanning all three devices; loopback stays local to the
-     * host. Allocates key streams and the batch band's (host, tag)
-     * queues, so call order must be fixed at machine-construction
-     * time and further queues must never appear lazily.
-     */
-    void setTopology(int fabricPartition, sim::Tick edgeLatency,
-                     std::vector<int> partitionOfHost);
+    void setTopology(sim::Tick edgeLatency);
 
     const MsgParams &params() const { return msgParams; }
 
@@ -140,8 +127,7 @@ class MsgLayer
     /** @name Keyed send-protocol legs (after setTopology)
      *
      * The Message and the completion trigger live in send()'s
-     * suspended frame; the window barrier orders each leg's accesses
-     * before the next partition's (DESIGN.md §14).
+     * suspended frame (DESIGN.md §14).
      */
     /** @{ */
 
@@ -149,18 +135,11 @@ class MsgLayer
     sim::Coro<void> fabricLeg(int src, int dst, Message *msg,
                               sim::Trigger *acked);
 
-    /** Destination leg: enqueue, then ack back to @p ackPart. */
-    sim::Coro<void> deliverLeg(int dst, Message *msg, int ackPart,
+    /** Destination leg: enqueue, then ack back to the sender. */
+    sim::Coro<void> deliverLeg(int dst, Message *msg,
                                sim::Trigger *acked);
 
     /** @} */
-
-    /**
-     * Cached obs hooks are only valid on the thread that owns the
-     * session; partition threads (whose thread-local session is
-     * null) must skip them.
-     */
-    bool obsLive() const;
 
     sim::Simulator &simulator;
     Network &network;
@@ -180,13 +159,10 @@ class MsgLayer
     obs::Counter *obsCorrupt = nullptr;
     obs::Histogram *obsAttempts = nullptr;
 
-    // Partitioned topology (setTopology). hostKeys[h] is advanced
-    // only by events executing on host h's partition (send posts and
-    // delivery acks), fabricKeys only on the fabric's.
-    bool partitioned = false;
-    int fabricPart = 0;
+    // Keyed protocol (setTopology). hostKeys[h] keys the legs host h
+    // posts (send posts and delivery acks), fabricKeys the fabric's.
+    bool keyed = false;
     sim::Tick edgeLatency = 0;
-    std::vector<int> partOfHost;
     std::vector<sim::KeyStream> hostKeys;
     sim::KeyStream fabricKeys;
 };
@@ -196,15 +172,13 @@ class MsgLayer
  * charged a logarithmic (dissemination-style) latency.
  *
  * Two arrival protocols share the timing model. The legacy arrive()
- * mutates shared round state directly and requires every participant
- * on one partition. Once setTopology() declares a home partition and
- * the participants' partitions, arrive(participant) instead posts a
- * keyed arrival notification to the home across the declared edge;
- * the home collects arrivals in deterministic key order and, when the
+ * mutates shared round state directly. Once setTopology() declares
+ * the arrival edge, arrive(participant) instead posts a keyed arrival
+ * notification to the home (the coordinating front end) one edge
+ * latency out; the home collects arrivals in key order and, when the
  * round is full, posts keyed releases that land at exactly
- * t_last + completionCost — the same tick the legacy path fires at —
- * so the barrier synchronizes devices split across partitions without
- * any shared coroutine frame crossing the cut (DESIGN.md §14).
+ * t_last + completionCost — the same tick the legacy path fires at
+ * (DESIGN.md §14).
  */
 class Barrier
 {
@@ -219,24 +193,21 @@ class Barrier
     sim::Coro<void> arrive();
 
     /**
-     * Partition-aware arrival for @p participant (0-based, stable).
-     * Falls back to the legacy protocol until setTopology() is
-     * called. Must execute on the participant's declared partition.
+     * Keyed arrival for @p participant (0-based, stable). Falls back
+     * to the legacy protocol until setTopology() is called.
      */
     sim::Coro<void> arrive(int participant);
 
     /**
-     * Declare the partitioned topology: the home partition that
-     * collects arrivals, the minimum cut-edge latency an arrival
-     * notification crosses, and each participant's partition.
-     * Allocates the round's key streams, so call order must be fixed
-     * at machine-construction time (Simulator::allocKeyStream).
-     * @p edgeLatency must not exceed the completion cost — the
-     * release posts with a margin of completionCost - edgeLatency,
-     * which conservative synchronization needs >= the lookahead.
+     * Switch arrive(participant) to the keyed protocol, with arrival
+     * notifications crossing @p edgeLatency to the home. Allocates
+     * the round's key streams, so call order must be fixed at
+     * machine-construction time (Simulator::allocKeyStream).
+     * @p edgeLatency must not exceed the completion cost: the release
+     * lands completionCost - edgeLatency after the last arrival
+     * notification.
      */
-    void setTopology(int home, sim::Tick edgeLatency,
-                     std::vector<int> partitionOf);
+    void setTopology(sim::Tick edgeLatency);
 
     /** Rounds completed so far. */
     int generation() const { return gen; }
@@ -245,8 +216,8 @@ class Barrier
     static sim::Tick logCost(int n, sim::Tick per_step);
 
   private:
-    /** Home-partition side of one keyed arrival. */
-    void homeArrive(int participant, sim::Trigger *done);
+    /** Home side of one keyed arrival. */
+    void homeArrive(sim::Trigger *done);
 
     sim::Simulator &simulator;
     int expected;
@@ -255,18 +226,16 @@ class Barrier
     int gen = 0;
     std::shared_ptr<sim::Trigger> current;
 
-    /** @name Partitioned mode (after setTopology) */
+    /** @name Keyed mode (after setTopology) */
     /** @{ */
-    bool partitioned = false;
-    int homePartition = 0;
+    bool keyed = false;
     sim::Tick edgeLatency = 0;
-    std::vector<int> partitionOf;
-    /** Per-participant arrival streams; advanced on the owner only. */
+    /** Per-participant arrival streams. */
     std::vector<sim::KeyStream> arriveKeys;
-    /** Release stream; advanced on the home partition only. */
+    /** Release stream, advanced by the home. */
     sim::KeyStream releaseKeys;
     /** Home-owned arrival log for the open round, in key order. */
-    std::vector<std::pair<int, sim::Trigger *>> arrivals;
+    std::vector<sim::Trigger *> arrivals;
     /** @} */
 };
 

@@ -40,7 +40,6 @@
 #ifndef HOWSIM_NET_NETWORK_HH
 #define HOWSIM_NET_NETWORK_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -81,26 +80,11 @@ struct NetParams
     std::uint32_t frameBytes = 64 * 1024;
 };
 
-/**
- * Per-host traffic counters. Atomic because under a partitioned plan
- * a host's loopback deliveries count on its own partition while its
- * fabric crossings count on the fabric's (MsgLayer::setTopology);
- * readers only look after the partition threads have joined.
- */
+/** Per-host traffic counters. */
 struct HostTraffic
 {
-    HostTraffic() = default;
-
-    /** Construction-time relocation only (the host vector is built
-     *  single-threaded, before any traffic flows). */
-    HostTraffic(HostTraffic &&other) noexcept
-        : bytesSent(other.bytesSent.load()),
-          bytesReceived(other.bytesReceived.load())
-    {
-    }
-
-    std::atomic<std::uint64_t> bytesSent{0};
-    std::atomic<std::uint64_t> bytesReceived{0};
+    std::uint64_t bytesSent = 0;
+    std::uint64_t bytesReceived = 0;
 };
 
 /**
@@ -134,8 +118,8 @@ class Network
      * Lower bound on the delivery latency of any cross-host message:
      * every non-loopback path crosses at least one switch hop (plus
      * NIC serialization, not counted here — this is deliberately
-     * conservative). Feeds PartitionGraph edges as the PDES lookahead
-     * contribution of the fabric.
+     * conservative). The keyed message handshake hops at this
+     * latency.
      */
     sim::Tick minMessageLatency() const { return netParams.hopLatency; }
 

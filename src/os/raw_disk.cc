@@ -50,12 +50,11 @@ RawDisk::io(std::uint64_t offset, std::uint64_t bytes, bool write)
     req.write = write;
 
     if (splitSim) {
-        // Split protocol: the request crosses to the drive partition
-        // as a keyed event (the driver-queueing time is the flight),
-        // the mechanism runs there, and completion flies back after
+        // Split protocol: the request crosses to the drive as a
+        // keyed event (the driver-queueing time is the flight), the
+        // mechanism runs there, and completion flies back after
         // completionLat. The result slot and trigger live in this
-        // suspended frame; the window barrier orders the drive
-        // side's writes before the resumption here.
+        // suspended frame.
         sim::Tick start = splitSim->now();
         co_await sim::delay(osCosts.syscall);
         IoResult result;
@@ -64,8 +63,8 @@ RawDisk::io(std::uint64_t offset, std::uint64_t bytes, bool write)
         sim::Trigger *donePtr = &done;
         RawDisk *self = this;
         splitSim->postKeyed(
-            diskPart, splitSim->now() + osCosts.ioQueue,
-            toDisk.next(), [self, req, resultPtr, donePtr] {
+            splitSim->now() + osCosts.ioQueue, toDisk.next(),
+            [self, req, resultPtr, donePtr] {
                 self->splitSim->spawnDetached(
                     self->driveLeg(req, resultPtr, donePtr), "rawio");
             });
@@ -117,8 +116,8 @@ RawDisk::driveLeg(disk::DiskRequest req, IoResult *out,
                                 out->detail.retries));
     }
 
-    splitSim->postKeyed(hostPart, splitSim->now() + completionLat,
-                        toHost.next(), [done] { done->fire(); });
+    splitSim->postKeyed(splitSim->now() + completionLat, toHost.next(),
+                        [done] { done->fire(); });
 }
 
 } // namespace howsim::os

@@ -54,43 +54,22 @@ class RawDisk
     std::uint64_t capacityBytes() const { return diskRef.capacityBytes(); }
 
     /**
-     * Switch this access path to the split (partition-crossing)
-     * protocol: the issue leaves the host as a keyed event landing
-     * at +ioQueue on the drive side, the mechanism runs there, and
-     * completion returns as a keyed event after
-     * @p completionLatency, so host and drive never share a live
-     * coroutine frame (DESIGN.md §14). Timing relative to the fused
-     * path shifts by exactly +completionLatency per I/O, identically
-     * in serial and parallel runs. Allocates the two key streams —
+     * Switch this access path to the split protocol: the issue
+     * leaves the host as a keyed event landing at +ioQueue on the
+     * drive side, the mechanism runs there, and completion returns
+     * as a keyed event after @p completionLatency, so host and drive
+     * never share a live coroutine frame (DESIGN.md §14). Timing
+     * relative to the fused path shifts by exactly
+     * +completionLatency per I/O. Allocates the two key streams —
      * call at machine-construction time, in fixed order.
      */
     void enableSplit(sim::Simulator &sim, sim::Tick completionLatency);
-
-    /** Home partitions of the host side and the drive side. */
-    void
-    setSplitParts(int hostPartition, int diskPartition)
-    {
-        hostPart = hostPartition;
-        diskPart = diskPartition;
-    }
-
-    /**
-     * Minimum latency of the split handshake's cut edge (the smaller
-     * of the outbound and return flights) — the lookahead
-     * contribution of a host/drive partition cut.
-     */
-    sim::Tick
-    splitEdgeLatency() const
-    {
-        return osCosts.ioQueue < completionLat ? osCosts.ioQueue
-                                               : completionLat;
-    }
 
   private:
     sim::Coro<IoResult> io(std::uint64_t offset, std::uint64_t bytes,
                            bool write);
 
-    /** Drive-partition side of one split I/O. */
+    /** Drive side of one split I/O. */
     sim::Coro<void> driveLeg(disk::DiskRequest req, IoResult *out,
                              sim::Trigger *done);
 
@@ -102,11 +81,9 @@ class RawDisk
     /** @{ */
     sim::Simulator *splitSim = nullptr;
     sim::Tick completionLat = 0;
-    int hostPart = 0;
-    int diskPart = 0;
-    /** Issue stream: advanced by host-side io() calls only. */
+    /** Issue stream: advanced by host-side io() calls. */
     sim::KeyStream toDisk;
-    /** Completion stream: advanced on the drive partition only. */
+    /** Completion stream: advanced by the drive side. */
     sim::KeyStream toHost;
     /** @} */
 };

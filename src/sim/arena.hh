@@ -1,6 +1,6 @@
 /**
  * @file
- * Per-partition slab arena for simulation-lifetime allocations.
+ * Per-simulator slab arena for simulation-lifetime allocations.
  *
  * The event loop's remaining allocator traffic is coroutine frames
  * (every spawned process and awaited child) and the rare oversized
@@ -10,17 +10,15 @@
  * Arena instead carves bump-pointer chunks and recycles freed blocks
  * through per-size-class free lists, so the steady state is a pop
  * from a singly linked list with no lock and no syscall; the chunks
- * are released wholesale when the owning Simulator (or partition)
- * tears down.
+ * are released wholesale when the owning Simulator tears down.
  *
- * Threading contract — designed for the parallel-DES partitioning
- * layer (partition.hh), where each partition owns one arena:
+ * Threading contract:
  *
  *  - allocate() is called only by the arena's owner thread (the
  *    thread whose ArenaScope installed it).
- *  - release() may be called from ANY thread: a coroutine frame
- *    allocated at setup time on the main thread may be reaped by a
- *    partition worker mid-run. A release on the thread where the
+ *  - release() may be called from ANY thread: a coroutine frame or
+ *    ProcessRef may be dropped on a thread other than the one that
+ *    allocated it. A release on the thread where the
  *    block's arena is installed takes the owner path: a push onto a
  *    plain per-class free list and a decrement of a plain live
  *    count, no atomic instruction at all. Any other release pushes
@@ -31,7 +29,7 @@
  *  - Every block carries a 16-byte header naming its owning arena
  *    control block, so release() needs no lookup table and blocks
  *    that outlive their Arena handle (a ProcessRef held past the
- *    Simulator, a cross-partition action) stay valid. The refcount
+ *    Simulator) stay valid. The refcount
  *    is biased: while the handle lives it holds a large bias that
  *    remote releases count down from, so they can never reach zero.
  *    ~Arena (and move-assignment over a live handle) trades the bias

@@ -41,8 +41,7 @@ struct PromiseBase
 {
     /**
      * Coroutine frames come from the thread's installed Arena (the
-     * owning Simulator's, or the partition's under parallel DES) and
-     * fall back to ::operator new when none is installed. The header
+     * owning Simulator's) and fall back to ::operator new when none is installed. The header
      * written by the arena makes the delete self-routing, so a frame
      * may safely outlive the arena handle or be destroyed from a
      * different thread than allocated it.

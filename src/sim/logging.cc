@@ -144,7 +144,6 @@ checkEnvNames()
         "HOWSIM_LOG_LEVEL",
         "HOWSIM_METRICS",
         "HOWSIM_OBS_INTERVAL_US",
-        "HOWSIM_PDES",
         "HOWSIM_TRACE_DETAIL",
         "HOWSIM_TRACE_DIR",
         "HOWSIM_TRAFFIC",

@@ -35,16 +35,6 @@ Resource::observe(const std::string &name, bool probes)
     obsDepth = &s->metrics().histogram(name + ".queue_depth");
     if (!probes)
         return;
-    // Timeline probes are read by the partition-0 sampler, but a
-    // resource homed to another partition mutates its state on that
-    // partition's thread — skip the probes under parallel DES rather
-    // than sample cross-thread. The histograms above are safe: each
-    // has a single writer (the owning partition) and is read only at
-    // dump(), after the partition threads have joined.
-    if (Simulator *sim = Simulator::current()) {
-        if (sim->partitions() > 1)
-            return;
-    }
     s->timeline().probe(
         name + ".queue_len",
         [this] { return static_cast<double>(waiters.size()); }, this);

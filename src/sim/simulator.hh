@@ -15,7 +15,6 @@
 #include "sim/arena.hh"
 #include "sim/coro.hh"
 #include "sim/event_queue.hh"
-#include "sim/partition.hh"
 #include "sim/ticks.hh"
 
 namespace howsim::obs
@@ -28,6 +27,48 @@ namespace howsim::sim
 
 class Process;
 using ProcessRef = std::shared_ptr<Process>;
+
+/**
+ * Sequence-number band for *keyed* events. Ordinary schedules draw
+ * fresh sequence numbers from the queue's counter, so their same-tick
+ * order is the order of the schedule calls. A keyed event instead
+ * carries a sequence number from a KeyStream owned by the logical
+ * entity that posts it (a disk, a link, a barrier), so its same-tick
+ * order is fixed by (stream, counter) alone. The band bit keeps the
+ * two populations ordered against each other: fresh counters never
+ * reach 2^62, so at a given tick every ordinary event runs before
+ * every keyed one. The machines' handshakes (DESIGN.md §14) are
+ * timed and ordered this way, so every figure depends on it.
+ */
+constexpr std::uint64_t kKeyedSeqBand = std::uint64_t{1} << 62;
+
+/**
+ * Deterministic allocator of keyed sequence numbers for one logical
+ * entity. Streams are handed out by Simulator::allocKeyStream() in
+ * call order, so the assignment is identical across runs; each
+ * stream is advanced only by its owning entity. Key layout:
+ * band | stream << 36 | counter.
+ */
+class KeyStream
+{
+  public:
+    KeyStream() = default;
+
+    explicit KeyStream(std::uint64_t streamId)
+        : base(kKeyedSeqBand | (streamId << counterBits))
+    {
+    }
+
+    /** The next key; strictly increasing within the stream. */
+    std::uint64_t next() { return base | counter++; }
+
+    /** Bits reserved for the per-stream counter. */
+    static constexpr unsigned counterBits = 36;
+
+  private:
+    std::uint64_t base = kKeyedSeqBand;
+    std::uint64_t counter = 0;
+};
 
 /**
  * Discrete-event simulation executive.
@@ -44,48 +85,22 @@ using ProcessRef = std::shared_ptr<Process>;
  * size-class free lists instead of the global heap and are released
  * wholesale when the simulator dies.
  *
- * With more than one partition (the HOWSIM_PDES environment variable,
- * or the explicit constructor argument) the executive runs
- * conservative parallel DES: each partition drains its own event
- * queue and clock on its own thread — partition 0 on the calling
- * thread — inside synchronization windows sized by the lookahead (the
- * minimum cross-partition event latency, see PartitionGraph::plan).
- * Cross-partition events travel through per-source outboxes and are
- * applied at the window boundary in deterministic
- * (tick, seq, partition) order, so a parallel run's event order —
- * and therefore its stats and output — is reproducible, and
- * bit-identical to serial whenever every event stays in one
- * partition. Work is homed to a partition with spawnOn(); events
- * cross partitions with postCross(). See DESIGN.md §14.
+ * Machines hand work between devices with keyed events
+ * (postKeyed()), whose same-tick order is a property of the posting
+ * entity rather than of the schedule site; see DESIGN.md §14.
  */
 class Simulator
 {
   public:
-    /** Use the HOWSIM_PDES partition count. */
-    Simulator() : Simulator(defaultPdesPartitions()) {}
-
-    /**
-     * Explicit partition count. @p pdesPartitions of 1 is the serial
-     * executive; more engages the windowed parallel loop with that
-     * many event queues.
-     */
-    explicit Simulator(int pdesPartitions);
+    Simulator();
 
     ~Simulator();
 
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
 
-    /**
-     * Current simulated time. Inside a parallel run this is the
-     * executing partition's clock; partitions only ever observe their
-     * own (windows keep them within lookahead of each other).
-     */
-    Tick
-    now() const
-    {
-        return pdes ? pdesNow() : currentTick;
-    }
+    /** Current simulated time. */
+    Tick now() const { return currentTick; }
 
     /** Schedule an action at an absolute tick (>= now). */
     void scheduleAt(Tick when, EventQueue::Action action);
@@ -120,47 +135,21 @@ class Simulator
     ProcessRef spawnDetached(Coro<void> body, std::string name = "proc");
 
     /**
-     * Start a process homed to @p partition: its events drain on that
-     * partition's thread. Under the serial executive this is spawn().
-     * May be called outside run() or from the target partition
-     * itself; joining a process from another partition is not
-     * supported (the joiner list is unsynchronized by design — use
-     * postCross() handshakes instead).
+     * Schedule @p action at absolute tick @p when with the explicit
+     * sequence number @p key (from a KeyStream allocated with
+     * allocKeyStream()) instead of a fresh one from the queue's
+     * counter. The (tick, key) pair is a property of the posting
+     * entity, so same-tick order does not depend on where the post
+     * was made — this is how the machines' cross-device handshakes
+     * order their legs (DESIGN.md §14).
      */
-    ProcessRef spawnOn(int partition, Coro<void> body,
-                       std::string name = "proc");
-
-    /**
-     * Schedule @p action on @p partition's queue at absolute tick
-     * @p when. From another partition the event is parked in this
-     * partition's outbox and applied at the next window boundary;
-     * conservative correctness requires @p when to be at least the
-     * end of the current window — at least lookahead() past the
-     * window start — and the boundary panics on a violation. Local
-     * and serial calls are plain scheduleAt().
-     */
-    void postCross(int partition, Tick when, EventQueue::Action action);
-
-    /**
-     * Keyed postCross: like postCross(), but the event carries the
-     * explicit sequence number @p key (from a KeyStream allocated
-     * with allocKeyStream()) instead of drawing a fresh one from the
-     * target queue. Because the (tick, key) pair is a property of the
-     * posting entity, same-tick order is identical no matter how the
-     * machine is partitioned — this is what makes the machines'
-     * cross-device handshakes bit-identical between serial and any
-     * HOWSIM_PDES setting (DESIGN.md §14). Serial and same-partition
-     * calls schedule directly with the key; cross-partition calls
-     * park in the outbox and keep the key through the merge.
-     */
-    void postKeyed(int partition, Tick when, std::uint64_t key,
+    void postKeyed(Tick when, std::uint64_t key,
                    EventQueue::Action action);
 
     /**
      * Allocate the next deterministic key stream. Must be called at
      * construction time (machine/task-runner setup, before run()), in
-     * a fixed order independent of partitioning — stream identity is
-     * part of the event order.
+     * a fixed order — stream identity is part of the event order.
      */
     KeyStream allocKeyStream() { return KeyStream(nextKeyStream++); }
 
@@ -173,26 +162,6 @@ class Simulator
 
     /** Number of events executed so far. */
     std::uint64_t eventsExecuted() const { return executed; }
-
-    /** Partition count (1 = serial executive). */
-    int partitions() const;
-
-    /** The partition executing on this thread (0 outside run()). */
-    int currentPartition() const;
-
-    /**
-     * Set the synchronization window size for parallel runs, normally
-     * from PartitionGraph::plan().lookahead. maxTick (the default)
-     * means "no cross-partition edges": one window covers the whole
-     * run. Ignored by the serial executive.
-     */
-    void setLookahead(Tick la);
-
-    /** The current lookahead (maxTick under the serial executive). */
-    Tick lookahead() const;
-
-    /** Counters of the parallel runs so far (zeros when serial). */
-    PdesStats pdesStats() const;
 
     /** Number of processes ever spawned. */
     std::size_t processCount() const { return processes.size(); }
@@ -207,18 +176,9 @@ class Simulator
   private:
     friend class Process;
 
-    struct Pdes;
-
     ProcessRef spawnImpl(Coro<void> body, std::string name,
-                         bool detached, int partition);
+                         bool detached);
     void reap(Process *proc);
-
-    Tick pdesNow() const;
-    void pdesSchedule(Tick when, EventQueue::Action action,
-                      bool validate);
-    Tick runParallel(Tick until);
-    void partitionLoop(int part, Tick until);
-    void windowBoundary(Tick until);
 
     Tick currentTick = 0;
     EventQueue queue;
@@ -239,9 +199,6 @@ class Simulator
     std::uint64_t executed = 0;
     std::uint64_t nextKeyStream = 0;
     Simulator *previous = nullptr;
-
-    /** Parallel-DES state; null under the serial executive. */
-    std::unique_ptr<Pdes> pdes;
 
     /**
      * The thread's observability session captured at construction

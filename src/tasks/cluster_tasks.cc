@@ -767,8 +767,7 @@ void
 ClusterTaskRunner::notifySortDone(int node, int *remaining,
                                   sim::Trigger *done)
 {
-    simulator.postKeyed(machine.frontendPartition(),
-                        simulator.now() + machine.crossLatency(),
+    simulator.postKeyed(simulator.now() + machine.crossLatency(),
                         doneKeys[static_cast<std::size_t>(node)].next(),
                         [remaining, done] {
                             if (--*remaining == 0)
@@ -811,9 +810,7 @@ ClusterTaskRunner::sortCoordinator()
         for (int node = 0; node < n; ++node) {
             sim::Trigger *go
                 = sortGo[static_cast<std::size_t>(node)].get();
-            simulator.postKeyed(machine.nodePartition(node),
-                                simulator.now()
-                                    + machine.crossLatency(),
+            simulator.postKeyed(simulator.now() + machine.crossLatency(),
                                 goKeys.next(), [go] { go->fire(); });
         }
         co_await sortP2Done.wait();
@@ -859,7 +856,6 @@ ClusterTaskRunner::launch(TaskKind kind, const DatasetSpec &data)
     shards.assign(static_cast<std::size_t>(size()), TaskResult{});
     doneMarkers = 0;
     const int n = size();
-    const int fePart = machine.frontendPartition();
     std::vector<sim::ProcessRef> procs;
 
     Tick fe_merge_per_byte = 0;
@@ -871,15 +867,11 @@ ClusterTaskRunner::launch(TaskKind kind, const DatasetSpec &data)
       case TaskKind::Aggregate:
       case TaskKind::GroupBy:
         for (int i = 0; i < n; ++i) {
-            procs.push_back(
-                simulator.spawnOn(machine.nodePartition(i),
-                                  scanWorker(i, data, kind),
-                                  "scan-worker"));
+            procs.push_back(simulator.spawn(scanWorker(i, data, kind),
+                                            "scan-worker"));
         }
-        procs.push_back(
-            simulator.spawnOn(fePart,
-                              frontendConsumer(fe_merge_per_byte),
-                              "fe"));
+        procs.push_back(simulator.spawn(
+            frontendConsumer(fe_merge_per_byte), "fe"));
         break;
       case TaskKind::Sort:
         sortP1Remaining = 2 * n;
@@ -890,64 +882,43 @@ ClusterTaskRunner::launch(TaskKind kind, const DatasetSpec &data)
         for (int i = 0; i < n; ++i)
             sortGo.push_back(std::make_unique<sim::Trigger>());
         for (int i = 0; i < n; ++i) {
-            int part = machine.nodePartition(i);
-            procs.push_back(simulator.spawnOn(
-                part,
+            procs.push_back(simulator.spawn(
                 runAndNotify(sortPartitionWorker(i, data), i,
                              &sortP1Remaining, &sortP1Done),
                 "sort-part"));
-            procs.push_back(simulator.spawnOn(
-                part,
+            procs.push_back(simulator.spawn(
                 runAndNotify(sortCollector(i, data), i,
                              &sortP1Remaining, &sortP1Done),
                 "sort-collect"));
-            procs.push_back(simulator.spawnOn(part,
-                                              sortPhase2Worker(i,
-                                                               data),
-                                              "sort-merge"));
+            procs.push_back(
+                simulator.spawn(sortPhase2Worker(i, data), "sort-merge"));
         }
-        procs.push_back(simulator.spawnOn(fePart, sortCoordinator(),
-                                          "sort-coordinator"));
+        procs.push_back(
+            simulator.spawn(sortCoordinator(), "sort-coordinator"));
         break;
       case TaskKind::Join:
-        for (int i = 0; i < n; ++i) {
+        for (int i = 0; i < n; ++i)
             procs.push_back(
-                simulator.spawnOn(machine.nodePartition(i),
-                                  joinWorker(i, data),
-                                  "join-worker"));
-        }
-        procs.push_back(simulator.spawnOn(fePart, frontendConsumer(0),
-                                          "fe"));
+                simulator.spawn(joinWorker(i, data), "join-worker"));
+        procs.push_back(simulator.spawn(frontendConsumer(0), "fe"));
         break;
       case TaskKind::Datacube:
-        for (int i = 0; i < n; ++i) {
+        for (int i = 0; i < n; ++i)
             procs.push_back(
-                simulator.spawnOn(machine.nodePartition(i),
-                                  dcubeWorker(i, data),
-                                  "dcube-worker"));
-        }
-        procs.push_back(simulator.spawnOn(fePart, frontendConsumer(0),
-                                          "fe"));
+                simulator.spawn(dcubeWorker(i, data), "dcube-worker"));
+        procs.push_back(simulator.spawn(frontendConsumer(0), "fe"));
         break;
       case TaskKind::Dmine:
-        for (int i = 0; i < n; ++i) {
+        for (int i = 0; i < n; ++i)
             procs.push_back(
-                simulator.spawnOn(machine.nodePartition(i),
-                                  dmineWorker(i, data),
-                                  "dmine-worker"));
-        }
-        procs.push_back(simulator.spawnOn(fePart, dmineFrontend(data),
-                                          "dmine-fe"));
+                simulator.spawn(dmineWorker(i, data), "dmine-worker"));
+        procs.push_back(simulator.spawn(dmineFrontend(data), "dmine-fe"));
         break;
       case TaskKind::Mview:
-        for (int i = 0; i < n; ++i) {
+        for (int i = 0; i < n; ++i)
             procs.push_back(
-                simulator.spawnOn(machine.nodePartition(i),
-                                  mviewWorker(i, data),
-                                  "mview-worker"));
-        }
-        procs.push_back(simulator.spawnOn(fePart, frontendConsumer(0),
-                                          "fe"));
+                simulator.spawn(mviewWorker(i, data), "mview-worker"));
+        procs.push_back(simulator.spawn(frontendConsumer(0), "fe"));
         break;
     }
     return procs;
@@ -956,8 +927,8 @@ ClusterTaskRunner::launch(TaskKind kind, const DatasetSpec &data)
 void
 ClusterTaskRunner::foldShards()
 {
-    // Node order is fixed, so the floating-point bucket sums are
-    // identical no matter which partitions the shards were filled on.
+    // Node order is fixed, so the floating-point bucket sums do not
+    // depend on the order in which the shards were filled.
     for (const TaskResult &shard : shards) {
         result.buckets.merge(shard.buckets);
         result.outputBytes += shard.outputBytes;

@@ -128,20 +128,16 @@ class ClusterTaskRunner
     sim::Coro<void> sortCoordinator();
     sim::Coro<void> dmineFrontend(const workload::DatasetSpec &data);
 
-    /** @name Partitioned sort coordination (DESIGN.md §14)
+    /** @name Keyed sort coordination (DESIGN.md §14)
      *
-     * The two-phase sort can no longer be driven by a coordinator
-     * that spawns and joins workers across the node boundary
-     * (cross-partition joins are unsupported). Instead launch()
-     * pre-spawns every phase's workers on their node partitions —
-     * phase 2 parked on a per-node go trigger — and the front-end
-     * coordinator counts keyed done-notifications and broadcasts the
-     * phase-2 go, one crossLatency() hop each way, identically under
-     * serial and parallel execution.
+     * launch() pre-spawns every phase's workers — phase 2 parked on
+     * a per-node go trigger — and the front-end coordinator counts
+     * keyed done-notifications and broadcasts the phase-2 go, one
+     * crossLatency() hop each way.
      */
     /** @{ */
 
-    /** Post a keyed done-notification from node @p n's partition. */
+    /** Post a keyed done-notification from node @p node. */
     void notifySortDone(int node, int *remaining, sim::Trigger *done);
 
     /** Run @p body, then notify the front-end coordinator. */
@@ -206,18 +202,17 @@ class ClusterTaskRunner
     TaskResult result;
 
     /**
-     * Per-node result shards: a worker homed on node n's partition
-     * writes only shards[n]; run()/runConcurrent fold them into
-     * `result` in node order after the run, so the floating-point
-     * bucket sums are identical under every HOWSIM_PDES setting.
-     * Front-end writers touch `result` directly — the front-end
-     * domain is always partition 0, the calling thread.
+     * Per-node result shards: node n's workers write only
+     * shards[n]; run()/runConcurrent fold them into `result` in
+     * node order after the run. The fixed fold order pins the
+     * floating-point bucket sums, and with them the figures' bits.
+     * Front-end writers touch `result` directly.
      */
     std::vector<TaskResult> shards;
 
     // Keyed coordination streams, allocated in fixed order at
-    // construction: doneKeys[n] is advanced only on node n's
-    // partition, goKeys only on the front-end.
+    // construction: doneKeys[n] for node n's notifications,
+    // goKeys for the front-end's.
     std::vector<sim::KeyStream> doneKeys;
     sim::KeyStream goKeys;
 

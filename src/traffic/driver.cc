@@ -375,8 +375,8 @@ class Driver
         // Client-visible retry, exactly once: only queries whose
         // first attempt overlapped a death instant re-execute (on a
         // disjoint stream band). Aliveness is plan arithmetic, so
-        // which queries retry is identical across the jobs x pdes
-        // matrix. The takeover redirect already keeps a
+        // which queries retry is identical at every HOWSIM_JOBS
+        // setting. The takeover redirect already keeps a
         // degraded attempt's output byte-equal — the assert below is
         // the availability contract, checked on every retry.
         if (!stopSched.empty()
@@ -472,25 +472,6 @@ trafficLabel(const core::ExperimentConfig &config)
                      config.scale);
 }
 
-/**
- * Traffic runs stay co-located (DESIGN.md §14): concurrent query
- * streams share lazily-created per-stream barriers and inboxes whose
- * protocols assume one partition, and open-loop arrivals couple every
- * device through the driver. The machine keeps its default all-
- * partition-0 placement — no plan is adopted — so the lookahead stays
- * at maxTick and the windowed loop degenerates to one window.
- */
-void
-planPartitions(sim::Simulator &simulator)
-{
-    if (simulator.partitions() <= 1)
-        return;
-    warn("traffic plans run co-located (multi-user streams share "
-         "cross-device state); HOWSIM_PDES=%d runs windowed but "
-         "single-group",
-         simulator.partitions());
-}
-
 /** Publish run totals into the session's metrics JSON. */
 void
 publishTrafficMetrics(obs::Session *sess, const TrafficResult &r)
@@ -560,11 +541,10 @@ runTraffic(const core::ExperimentConfig &config,
               : fault::StopSchedule{};
     auto obsSession = obs::Session::fromEnv(trafficLabel(config));
     fault::Scope faultScope(fplan);
-    int pdesParts = config.pdes > 0
-                        ? config.pdes
-                        : std::min(sim::defaultPdesPartitions(),
-                                   config.scale);
-    sim::Simulator simulator(pdesParts);
+    // The machines keep their legacy barriers and message sends here
+    // (no useKeyedHandshakes()): the traffic fingerprints were
+    // recorded on those paths.
+    sim::Simulator simulator;
     switch (config.arch) {
       case core::Arch::ActiveDisk: {
         diskos::AdParams params;
@@ -575,7 +555,6 @@ runTraffic(const core::ExperimentConfig &config,
         params.frontendCpuMhz = config.adFrontendMhz;
         diskos::ActiveDiskArray machine(simulator, config.scale,
                                         config.drive, params);
-        planPartitions(simulator);
         AdExec exec(simulator, machine, config.costs);
         auto result = drive(simulator, plan, exec, stops,
                             obsSession.get());
@@ -586,7 +565,6 @@ runTraffic(const core::ExperimentConfig &config,
       case core::Arch::Cluster: {
         arch::ClusterMachine machine(simulator, config.scale,
                                      config.drive);
-        planPartitions(simulator);
         ClusterExec exec(simulator, machine, config.costs);
         auto result = drive(simulator, plan, exec, stops,
                             obsSession.get());
@@ -600,7 +578,6 @@ runTraffic(const core::ExperimentConfig &config,
         params.fcLoops = config.interconnectLoops;
         smp::SmpMachine machine(simulator, config.scale,
                                 config.scale, config.drive, params);
-        planPartitions(simulator);
         SmpExec exec(simulator, machine, config.costs);
         auto result = drive(simulator, plan, exec, stops,
                             obsSession.get());

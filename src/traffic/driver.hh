@@ -10,8 +10,8 @@
  * max.inflight of them concurrently, and executes each in its own
  * task-runner instance (stream qid + 1) on the shared machine. All
  * randomness comes from the fault layer's stateless counter hash,
- * so the resulting timeline is bit-identical across the scheduler,
- * transfer-engine, worker-thread, and PDES host-side choices.
+ * so the resulting timeline is bit-identical at every worker-thread
+ * count.
  */
 
 #ifndef HOWSIM_TRAFFIC_DRIVER_HH
@@ -90,7 +90,7 @@ struct TrafficResult
      * Order-sensitive digest of every completion record
      * (qid, class, completion instant, latency). Two runs with the
      * same plan and machine produce the same fingerprint regardless
-     * of HOWSIM_JOBS / HOWSIM_PDES — the determinism contract CI
+     * of HOWSIM_JOBS — the determinism contract CI
      * asserts.
      */
     std::uint64_t fingerprint = 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -115,7 +116,8 @@ TEST(Runner, ThrowingExperimentFailsItsSlotWithIdentity)
 
     // The scale-4 experiment throws; the others must still complete
     // and the rethrown error must carry the experiment's identity.
-    int ran = 0;
+    // Counted from both worker threads, so atomic.
+    std::atomic<int> ran{0};
     auto runOne = [&ran](const ExperimentConfig &config) {
         ++ran;
         if (config.scale == 4)

@@ -1,7 +1,7 @@
 /**
  * @file Heartbeat failure detector and recovery orchestration: the
  * emergent-detection-latency, false-positive, multi-failure,
- * rejoin/rebuild, and cross-knob determinism guarantees of
+ * rejoin/rebuild, and cross-thread determinism guarantees of
  * DESIGN.md §13, checked end-to-end through core::runExperiment.
  */
 
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "core/runner.hh"
 #include "fault/detector.hh"
 #include "fault/fault.hh"
 #include "sim/ticks.hh"
@@ -65,28 +66,29 @@ TEST(Detector, DetectionLatencyIsEmergentNotConfigured)
               fast.availability.detectLatencyMax);
 }
 
-TEST(Detector, TimelineBitIdenticalAcrossPdes)
+TEST(Detector, TimelineBitIdenticalAcrossJobs)
 {
     // The probe schedule draws from the stateless counter hash and
     // every probe rides the machine's deterministic interconnect, so
     // a faulted-with-rejoin run must produce ONE timeline — elapsed,
-    // output, detection latency, rebuilt bytes — at every PDES
-    // partition count (fail-stop runs partition like any other run).
+    // output, detection latency, rebuilt bytes — on a repeat run and
+    // whether the batch runs on one worker thread or four (the
+    // copies of the run then execute concurrently).
     auto config = baseConfig(Arch::ActiveDisk, TaskKind::Select, 4);
     config.faults = "seed=5,stop.disk=1+2,stop.at.ms=40,"
                     "stop.restart.ms=120,hb.period.ms=2,"
                     "rebuild.rate.mbs=64";
-    std::vector<tasks::TaskResult> results;
-    for (int pdes : {1, 2, 4}) {
-        config.pdes = pdes;
-        results.push_back(core::runExperiment(config));
-    }
+    std::vector<ExperimentConfig> batch(4, config);
+    std::vector<tasks::TaskResult> results
+        = core::runExperiments(batch, 1);
+    for (const tasks::TaskResult &r : core::runExperiments(batch, 4))
+        results.push_back(r);
     ASSERT_EQ(results[0].availability.deaths, 2u);
     ASSERT_EQ(results[0].availability.rejoins, 2u);
     EXPECT_GT(results[0].availability.rebuiltBytes, 0u);
     for (std::size_t i = 1; i < results.size(); ++i) {
         EXPECT_EQ(results[i].elapsedTicks, results[0].elapsedTicks)
-            << "pdes combo " << i;
+            << "run " << i;
         EXPECT_EQ(results[i].outputBytes, results[0].outputBytes);
         EXPECT_EQ(results[i].availability.heartbeats,
                   results[0].availability.heartbeats);

@@ -82,24 +82,24 @@ TEST(FaultExperiment, DiskFaultsSlowTheRunButPreserveOutput)
     }
 }
 
-TEST(FaultExperiment, NetFaultsAgreeAcrossPartitions)
+TEST(FaultExperiment, NetFaultsAgreeAcrossJobs)
 {
     // Retransmit decisions hash (seed, link, message, attempt), so a
-    // faulted run must produce one simulated timeline at every PDES
-    // partition count.
+    // faulted run must produce one simulated timeline on a repeat run
+    // and at every worker-thread count.
     for (Arch arch : {Arch::ActiveDisk, Arch::Cluster}) {
         auto config = baseConfig(arch, TaskKind::Select, 4);
         auto faultFree = core::runExperiment(config);
         config.faults = "seed=7,net.drop.rate=0.3,net.corrupt.rate=0.1";
 
-        std::vector<tasks::TaskResult> results;
-        for (int pdes : {1, 2, 4}) {
-            config.pdes = pdes;
-            results.push_back(core::runExperiment(config));
-        }
+        std::vector<ExperimentConfig> batch(4, config);
+        std::vector<tasks::TaskResult> results
+            = core::runExperiments(batch, 1);
+        for (const tasks::TaskResult &r : core::runExperiments(batch, 4))
+            results.push_back(r);
         for (std::size_t i = 1; i < results.size(); ++i) {
             EXPECT_EQ(results[i].elapsedTicks, results[0].elapsedTicks)
-                << core::archName(arch) << " pdes combo " << i;
+                << core::archName(arch) << " run " << i;
             EXPECT_EQ(results[i].outputBytes, results[0].outputBytes);
         }
         // Retransmits and backoffs only ever add time, and at these

@@ -33,7 +33,7 @@ TEST(Injector, DecisionsArePureFunctionsOfTheirInputs)
     // Same plan, same (site, seq, attempt) => same answer, no matter
     // how many times or in what order the question is asked. This is
     // the property that keeps fault runs identical across worker
-    // threads and PDES partitions.
+    // threads.
     Injector a(allFaultsPlan());
     Injector b(allFaultsPlan());
     std::uint64_t site = fault::siteId("disk3");

@@ -60,10 +60,11 @@ TEST(ErrorPathDeathTest, LogLevelEnvGarbageIsFatal)
 
 TEST(ErrorPathDeathTest, UnknownHowsimEnvIsFatal)
 {
-    // A retired knob (the scheduler switch) and a typo of a live one
-    // must not silently run the defaults: each fails, naming the
-    // variable and the accepted set.
+    // Retired knobs (the scheduler switch, the parallel-DES partition
+    // count) and a typo of a live one must not silently run the
+    // defaults: each fails, naming the variable and the accepted set.
     const char *const unknown[][2] = {{"HOWSIM_SCHED", "heap"},
+                                      {"HOWSIM_PDES", "2"},
                                       {"HOWSIM_FAULT", "seed=1"}};
     for (const auto &[name, value] : unknown) {
         setenv(name, value, 1);

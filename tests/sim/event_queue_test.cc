@@ -26,7 +26,12 @@ std::size_t newCalls = 0;
 
 } // namespace
 
-void *
+// The replacements below pair malloc with free. They are kept out of
+// line: inlined into a standard container, one side's malloc or free
+// would meet the other side's operator new or delete, and
+// -Wmismatched-new-delete would (rightly, from what it can see) flag
+// the pair.
+[[gnu::noinline]] void *
 operator new(std::size_t n)
 {
     ++newCalls;
@@ -35,7 +40,7 @@ operator new(std::size_t n)
     throw std::bad_alloc();
 }
 
-void *
+[[gnu::noinline]] void *
 operator new(std::size_t n, std::align_val_t align)
 {
     ++newCalls;
@@ -45,25 +50,25 @@ operator new(std::size_t n, std::align_val_t align)
     throw std::bad_alloc();
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::align_val_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t, std::align_val_t) noexcept
 {
     std::free(p);

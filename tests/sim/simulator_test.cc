@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/awaitables.hh"
@@ -27,6 +29,44 @@ TEST(Simulator, RunsScheduledActionsAndAdvancesClock)
     Tick end = sim.run();
     EXPECT_EQ(end, 25u);
     EXPECT_EQ(seen, (std::vector<Tick>{10, 25}));
+}
+
+TEST(KeyedBand, OrdinaryFirstThenKeyOrderAcrossStreams)
+{
+    // Streams come out of allocKeyStream() in call order: the first
+    // is stream 0, the second stream 1, so every key of the first
+    // sorts before every key of the second.
+    Simulator sim;
+    KeyStream first = sim.allocKeyStream();
+    KeyStream second = sim.allocKeyStream();
+    const std::uint64_t a0 = first.next();
+    const std::uint64_t a1 = first.next();
+    const std::uint64_t b0 = second.next();
+    auto streamOf = [](std::uint64_t key) {
+        return (key & ~kKeyedSeqBand) >> KeyStream::counterBits;
+    };
+    EXPECT_EQ(streamOf(a0), 0u);
+    EXPECT_EQ(streamOf(a1), 0u);
+    EXPECT_EQ(streamOf(b0), 1u);
+    EXPECT_LT(a0, a1);
+    EXPECT_LT(a1, b0);
+
+    // At one tick, posted in neither key nor stream order and
+    // interleaved with ordinary schedules: every ordinary event runs
+    // first (in schedule order), then the keyed ones in key order.
+    std::vector<std::string> order;
+    auto log = [&order](const char *tag) {
+        return [&order, tag] { order.emplace_back(tag); };
+    };
+    constexpr Tick t = 100;
+    sim.postKeyed(t, b0, log("b0"));
+    sim.postKeyed(t, a1, log("a1"));
+    sim.scheduleAt(t, log("o0"));
+    sim.postKeyed(t, a0, log("a0"));
+    sim.scheduleAt(t, log("o1"));
+    sim.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"o0", "o1", "a0", "a1",
+                                               "b0"}));
 }
 
 TEST(Simulator, RunUntilStopsEarly)

@@ -1,15 +1,17 @@
 /**
  * @file Traffic driver behavior: determinism of the timeline across
- * every host-side knob (scheduler, transfer engine, PDES
- * partitioning), open- and closed-loop smoke on all three
- * architectures, admission control, and faulted-plan stability.
+ * repeat runs and worker-thread counts, open- and closed-loop smoke
+ * on all three architectures, admission control, and faulted-plan
+ * stability.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "core/experiment.hh"
+#include "core/runner.hh"
 #include "traffic/driver.hh"
 #include "traffic/plan.hh"
 
@@ -34,6 +36,26 @@ configFor(Arch arch, const char *spec)
     config.scale = 4;
     config.traffic = spec;
     return config;
+}
+
+/**
+ * Run four copies of @p config through core::runExperiments' seam on
+ * @p jobs worker threads; at jobs=4 the copies run concurrently.
+ */
+std::vector<TrafficResult>
+runCopies(const ExperimentConfig &config, int jobs)
+{
+    std::vector<ExperimentConfig> batch(4, config);
+    std::vector<TrafficResult> out(batch.size());
+    core::runExperiments(
+        batch,
+        [&](const ExperimentConfig &c) {
+            out[static_cast<std::size_t>(&c - batch.data())]
+                = traffic::runTraffic(c);
+            return tasks::TaskResult{};
+        },
+        jobs);
+    return out;
 }
 
 } // namespace
@@ -67,17 +89,17 @@ TEST(TrafficDriver, TimelineIsBitIdenticalAcrossHostKnobs)
     TrafficResult ref = traffic::runTraffic(base);
     ASSERT_GT(ref.completed, 0u);
 
-    for (int pdes : {1, 2, 4}) {
-        ExperimentConfig config = base;
-        config.pdes = pdes;
-        TrafficResult got = traffic::runTraffic(config);
-        EXPECT_EQ(got.fingerprint, ref.fingerprint) << "pdes " << pdes;
-        EXPECT_EQ(got.completed, ref.completed);
-        EXPECT_EQ(got.lastCompletion, ref.lastCompletion);
-        ASSERT_EQ(got.classes.size(), ref.classes.size());
-        for (std::size_t c = 0; c < ref.classes.size(); ++c) {
-            EXPECT_EQ(got.classes[c].p50, ref.classes[c].p50);
-            EXPECT_EQ(got.classes[c].p99, ref.classes[c].p99);
+    for (int jobs : {1, 4}) {
+        for (const TrafficResult &got : runCopies(base, jobs)) {
+            EXPECT_EQ(got.fingerprint, ref.fingerprint)
+                << "jobs " << jobs;
+            EXPECT_EQ(got.completed, ref.completed);
+            EXPECT_EQ(got.lastCompletion, ref.lastCompletion);
+            ASSERT_EQ(got.classes.size(), ref.classes.size());
+            for (std::size_t c = 0; c < ref.classes.size(); ++c) {
+                EXPECT_EQ(got.classes[c].p50, ref.classes[c].p50);
+                EXPECT_EQ(got.classes[c].p99, ref.classes[c].p99);
+            }
         }
     }
 }
@@ -158,12 +180,11 @@ TEST(TrafficDriver, FaultedPlanStaysDeterministic)
     config.faults = "seed=11,disk.media.rate=5e-3,"
                     "net.drop.rate=1e-3";
     TrafficResult a = traffic::runTraffic(config);
-    ExperimentConfig other = config;
-    other.pdes = 2;
-    TrafficResult b = traffic::runTraffic(other);
     EXPECT_GT(a.completed, 0u);
-    EXPECT_EQ(a.fingerprint, b.fingerprint);
-    EXPECT_EQ(a.lastCompletion, b.lastCompletion);
+    for (const TrafficResult &b : runCopies(config, 4)) {
+        EXPECT_EQ(a.fingerprint, b.fingerprint);
+        EXPECT_EQ(a.lastCompletion, b.lastCompletion);
+    }
 }
 
 TEST(TrafficDriver, NetFaultedPlanOnActiveDisksStaysDeterministic)
@@ -205,12 +226,11 @@ TEST(TrafficDriver, FailStopRetriesOverlappingQueriesExactlyOnce)
     // more, so retried can never exceed completed.
     EXPECT_LE(a.retried, a.completed);
 
-    ExperimentConfig other = config;
-    other.pdes = 2;
-    TrafficResult b = traffic::runTraffic(other);
-    EXPECT_EQ(a.fingerprint, b.fingerprint);
-    EXPECT_EQ(a.retried, b.retried);
-    EXPECT_EQ(a.lastCompletion, b.lastCompletion);
+    for (const TrafficResult &b : runCopies(config, 4)) {
+        EXPECT_EQ(a.fingerprint, b.fingerprint);
+        EXPECT_EQ(a.retried, b.retried);
+        EXPECT_EQ(a.lastCompletion, b.lastCompletion);
+    }
 }
 
 TEST(TrafficDriver, SloShedsDoomedQueriesUnderDegradedMachine)
@@ -227,9 +247,8 @@ TEST(TrafficDriver, SloShedsDoomedQueriesUnderDegradedMachine)
     EXPECT_GT(a.shed, 0u);
     EXPECT_EQ(a.completed + a.shed, a.submitted);
 
-    ExperimentConfig other = config;
-    other.pdes = 2;
-    TrafficResult b = traffic::runTraffic(other);
-    EXPECT_EQ(a.shed, b.shed);
-    EXPECT_EQ(a.fingerprint, b.fingerprint);
+    for (const TrafficResult &b : runCopies(config, 4)) {
+        EXPECT_EQ(a.shed, b.shed);
+        EXPECT_EQ(a.fingerprint, b.fingerprint);
+    }
 }
