@@ -76,21 +76,19 @@ Disk::access(DiskRequest req)
         panic("%s: request [%llu, +%u) beyond capacity",
               diskName.c_str(), static_cast<unsigned long long>(req.lba),
               req.sectors);
-    auto pending = std::make_shared<Pending>();
-    pending->req = req;
-    pending->arrival = simulator.now();
-    queue.push_back(pending);
+    Pending pending{req, simulator.now(), {}, {}};
+    queue.push_back(&pending);
     workAvailable.fire();
-    co_await pending->done.wait();
-    co_return pending->detail;
+    co_await pending.done.wait();
+    co_return pending.detail;
 }
 
-std::shared_ptr<Disk::Pending>
+Disk::Pending *
 Disk::pickNext()
 {
     if (policy == SchedPolicy::Fcfs) {
-        auto p = queue.front();
-        queue.pop_front();
+        Pending *p = queue.front();
+        queue.erase(queue.begin());
         return p;
     }
     if (policy == SchedPolicy::Sstf) {
@@ -106,7 +104,7 @@ Disk::pickNext()
                 best_idx = i;
             }
         }
-        auto p = queue[best_idx];
+        Pending *p = queue[best_idx];
         queue.erase(queue.begin()
                     + static_cast<std::ptrdiff_t>(best_idx));
         return p;
@@ -139,7 +137,7 @@ Disk::pickNext()
             }
         }
         if (best_idx < queue.size()) {
-            auto p = queue[best_idx];
+            Pending *p = queue[best_idx];
             queue.erase(queue.begin()
                         + static_cast<std::ptrdiff_t>(best_idx));
             return p;
@@ -147,8 +145,8 @@ Disk::pickNext()
         sweepingUp = !sweepingUp;
     }
     // All requests are on the head cylinder edge cases: fall back.
-    auto p = queue.front();
-    queue.pop_front();
+    Pending *p = queue.front();
+    queue.erase(queue.begin());
     return p;
 }
 
@@ -353,7 +351,7 @@ Disk::serviceLoop()
             workAvailable.reset();
             co_await workAvailable.wait();
         }
-        auto pending = pickNext();
+        Pending *pending = pickNext();
         sim::Tick service_start = simulator.now();
         pending->detail = computeTiming(pending->req);
         pending->detail.queueTicks = simulator.now() - pending->arrival;

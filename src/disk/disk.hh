@@ -16,8 +16,6 @@
 #define HOWSIM_DISK_DISK_HH
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -160,6 +158,7 @@ class Disk
     void traceTo(std::vector<TraceRecord> *sink) { trace = sink; }
 
   private:
+    /** A queued request; lives in its access() frame. */
     struct Pending
     {
         DiskRequest req;
@@ -169,7 +168,7 @@ class Disk
     };
 
     sim::Coro<void> serviceLoop();
-    std::shared_ptr<Pending> pickNext();
+    Pending *pickNext();
     AccessDetail computeTiming(const DiskRequest &req);
     void injectFaults(AccessDetail &d, const DiskRequest &req);
     void recordObs(sim::Tick serviceStart, const Pending &pending);
@@ -184,7 +183,8 @@ class Disk
     SchedPolicy policy;
     std::string diskName;
 
-    std::deque<std::shared_ptr<Pending>> queue;
+    /** Waiting requests in arrival order; the vector keeps its capacity. */
+    std::vector<Pending *> queue;
     sim::Trigger workAvailable;
 
     // Mechanical state.

@@ -188,8 +188,7 @@ MsgLayer::deliverLeg(int dst, Message *msg, sim::Trigger *acked)
 sim::ProcessRef
 MsgLayer::postSend(int src, int dst, Message msg)
 {
-    return simulator.spawnDetached(send(src, dst, std::move(msg)),
-                                   "isend");
+    return simulator.spawn(send(src, dst, std::move(msg)), "isend");
 }
 
 sim::Coro<Message>

@@ -116,4 +116,24 @@ Session::dump()
     }
 }
 
+void
+Span::init(const char *trackName, const char *lit, const char *cat)
+{
+    tid = sess->trace().track(trackName);
+    start = sess->now();
+    labelLit = lit;
+    labelOwned = nullptr;
+    category = cat;
+}
+
+void
+Span::finish()
+{
+    std::string name =
+        labelOwned ? std::move(*labelOwned) : std::string(labelLit);
+    delete labelOwned;
+    sess->trace().complete(tid, std::move(name), category, start,
+                           sess->now() - start);
+}
+
 } // namespace howsim::obs

@@ -2,18 +2,20 @@
  * @file
  * Move-only type-erased callable with small-buffer optimization.
  *
- * InlineAction is the event payload of the simulator. The overwhelming
- * majority of events resume a suspended coroutine — an 8-byte
- * std::coroutine_handle<> — so the callable keeps a 48-byte inline
- * buffer and only falls back to the heap for captures that are larger
- * (or whose move constructor may throw). Scheduling the common case
- * therefore performs zero heap allocations, where the previous
- * std::function + shared_ptr representation performed two.
+ * InlineAction is the payload of every event that does more than
+ * resume a coroutine (a bare resumption rides in the event key
+ * itself; see event_queue.hh). Those captures are a few pointers and
+ * scalars — a handshake leg's endpoints, a trigger to fire — so the
+ * callable keeps a 48-byte inline buffer and only falls back to the
+ * arena for captures that are larger (or whose move constructor may
+ * throw). Scheduling the common case therefore performs no heap
+ * allocation.
  *
  * Relocation (the move into and out of EventQueue's slot pool; the
- * schedulers only sift 24-byte keys) is a plain memcpy for trivially
- * copyable captures — handles, raw pointers, small PODs — and a
- * type-erased move-construct + destroy for everything else.
+ * schedulers only sift 24-byte keys) is a plain memcpy of the
+ * capture's bytes for trivially copyable captures — handles, raw
+ * pointers, small PODs — and a type-erased move-construct + destroy
+ * for everything else.
  */
 
 #ifndef HOWSIM_SIM_ACTION_HH
@@ -106,11 +108,17 @@ class InlineAction
         void (*invoke)(void *);
         /**
          * Move-construct from src into dst and destroy src; null when
-         * a memcpy of the buffer relocates correctly.
+         * a memcpy of the capture relocates correctly.
          */
         void (*relocate)(void *src, void *dst) noexcept;
         /** Null when the capture is trivially destructible. */
         void (*destroy)(void *) noexcept;
+        /**
+         * Bytes the memcpy relocation copies: the capture's size (0
+         * for a stateless one), so bytes that construction never
+         * wrote are never read.
+         */
+        std::size_t bytes;
     };
 
     /** The capture behind the coroutine-handle constructor. */
@@ -174,6 +182,7 @@ class InlineAction
         &invokeInline<F>,
         memcpyRelocatable<F> ? nullptr : &relocateInline<F>,
         std::is_trivially_destructible_v<F> ? nullptr : &destroyInline<F>,
+        std::is_empty_v<F> ? 0 : sizeof(F),
     };
 
     // The heap representation is a single pointer: memcpy-relocatable.
@@ -182,6 +191,7 @@ class InlineAction
         &invokeHeap<F>,
         nullptr,
         &destroyHeap<F>,
+        sizeof(F *),
     };
 
     void
@@ -190,7 +200,7 @@ class InlineAction
         if (ops->relocate)
             ops->relocate(other.storage, storage);
         else
-            std::memcpy(storage, other.storage, inlineSize);
+            std::memcpy(storage, other.storage, ops->bytes);
     }
 
     void

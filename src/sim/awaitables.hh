@@ -56,6 +56,11 @@ yield()
  * One-shot condition variable. Coroutines wait() until some other
  * party calls fire(); waiters queued after the trigger has fired do
  * not block. reset() re-arms the trigger.
+ *
+ * Almost every trigger has a single waiter (a request's completion, a
+ * handshake's ack, a service loop's doorbell), so the first waiter is
+ * stored inline and only later ones go to a vector: a one-waiter
+ * trigger never allocates. Waiters wake in the order they waited.
  */
 class Trigger
 {
@@ -70,9 +75,13 @@ class Trigger
         Simulator *s = Simulator::current();
         if (!s)
             panic("Trigger fired outside a simulation");
-        for (auto h : waiters)
+        if (!first)
+            return;
+        s->scheduleAt(s->now(), first);
+        first = nullptr;
+        for (auto h : more)
             s->scheduleAt(s->now(), h);
-        waiters.clear();
+        more.clear();
     }
 
     /** True once fire() has been called (and not reset since). */
@@ -82,7 +91,7 @@ class Trigger
     void
     reset()
     {
-        if (!waiters.empty())
+        if (first)
             panic("Trigger::reset with coroutines still waiting");
         firedFlag = false;
     }
@@ -96,7 +105,10 @@ class Trigger
         void
         await_suspend(std::coroutine_handle<> h)
         {
-            trig->waiters.push_back(h);
+            if (!trig->first)
+                trig->first = h;
+            else
+                trig->more.push_back(h);
         }
 
         void await_resume() const noexcept {}
@@ -105,12 +117,10 @@ class Trigger
     /** Awaitable that completes when the trigger fires. */
     Wait wait() { return Wait{this}; }
 
-    /** Number of coroutines currently blocked on this trigger. */
-    std::size_t waiterCount() const { return waiters.size(); }
-
   private:
     bool firedFlag = false;
-    std::vector<std::coroutine_handle<>> waiters;
+    std::coroutine_handle<> first; //!< earliest waiter, if any
+    std::vector<std::coroutine_handle<>> more; //!< the rest, in order
 };
 
 } // namespace howsim::sim

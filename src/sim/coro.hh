@@ -12,7 +12,8 @@
  * Ownership: the Coro object owns the coroutine frame. Awaiting a
  * Coro (`co_await makeChild()`) keeps the temporary alive in the
  * awaiting frame for the duration of the child. Top-level processes
- * are owned by the Simulator (see process.hh).
+ * are owned by their Process (Simulator::spawn) or, when detached, by
+ * the frame itself (Simulator::spawnDetached; see simulator.hh).
  */
 
 #ifndef HOWSIM_SIM_CORO_HH
@@ -21,7 +22,6 @@
 #include <coroutine>
 #include <cstddef>
 #include <exception>
-#include <functional>
 #include <utility>
 
 #include "sim/arena.hh"
@@ -33,11 +33,33 @@ namespace howsim::sim
 template <typename T = void>
 class Coro;
 
+class Process;
+
 namespace detail
 {
 
-/** State and hooks shared by all Coro promise types. */
-struct PromiseBase
+/** Link of an intrusive doubly linked ring. */
+struct RingLink
+{
+    RingLink *prev = nullptr;
+    RingLink *next = nullptr;
+};
+
+struct PromiseBase;
+
+/**
+ * Completion of a top-level frame, run at its final suspend: tells
+ * its Process, or unlinks, reports and destroys a detached frame.
+ * Defined with the Simulator.
+ */
+void finishTopLevel(PromiseBase &p, std::coroutine_handle<> h) noexcept;
+
+/**
+ * State and hooks shared by all Coro promise types. The RingLink base
+ * threads a detached top-level frame onto its Simulator's ring of
+ * live detached frames (unused, and null, in every other frame).
+ */
+struct PromiseBase : RingLink
 {
     /**
      * Coroutine frames come from the thread's installed Arena (the
@@ -67,8 +89,8 @@ struct PromiseBase
     /** Coroutine to resume when this one finishes (symmetric xfer). */
     std::coroutine_handle<> continuation;
 
-    /** Completion hook for top-level processes (no continuation). */
-    std::function<void()> onDone;
+    /** The Process of a Simulator::spawn() frame; null otherwise. */
+    Process *process = nullptr;
 
     /** Captured exception, rethrown at the awaiter. */
     std::exception_ptr exception;
@@ -88,14 +110,10 @@ struct PromiseBase
             PromiseBase &p = h.promise();
             if (p.continuation)
                 return p.continuation;
-            // Move the hook out before invoking it: the hook may
-            // trigger destruction of this frame (detached processes),
-            // which would otherwise destroy the std::function while
-            // it is executing.
-            if (p.onDone) {
-                auto hook = std::move(p.onDone);
-                hook();
-            }
+            // A detached frame is destroyed in here, this awaiter
+            // with it: touch nothing after the call.
+            if (p.process || p.next)
+                finishTopLevel(p, h);
             return std::noop_coroutine();
         }
 

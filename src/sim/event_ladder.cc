@@ -24,6 +24,43 @@ bucketEndTick(Tick base, std::size_t idx, unsigned widthLog2)
 } // namespace
 
 void
+EventLadder::recycle(Bucket &bucket)
+{
+    if (bucket.capacity() == 0 || bucket.capacity() > maxSpareCapacity
+        || spareBuckets.size() >= maxSpareBuckets)
+        return;
+    bucket.clear();
+    spareBuckets.push_back(std::move(bucket));
+}
+
+EventLadder::Rung
+EventLadder::makeRung(Tick base, Tick end, unsigned widthLog2,
+                      std::size_t n)
+{
+    Rung r;
+    r.base = base;
+    r.end = end;
+    r.widthLog2 = widthLog2;
+    if (!spareArrays.empty()) {
+        // A retired array's buckets were all drained (each left
+        // without storage), so clearing it frees nothing.
+        r.buckets = std::move(spareArrays.back());
+        spareArrays.pop_back();
+        r.buckets.clear();
+    }
+    r.buckets.resize(n);
+    return r;
+}
+
+void
+EventLadder::retireRung()
+{
+    if (spareArrays.size() < maxSpareArrays)
+        spareArrays.push_back(std::move(rungs.back().buckets));
+    rungs.pop_back();
+}
+
+void
 EventLadder::pushRung(SchedEntry entry)
 {
     // Deepest-first: near-future schedules — the overwhelming
@@ -34,7 +71,7 @@ EventLadder::pushRung(SchedEntry entry)
         if (entry.when < r.end) {
             std::size_t idx = static_cast<std::size_t>(
                 (entry.when - r.base) >> r.widthLog2);
-            r.buckets[idx].push_back(entry);
+            append(r.buckets[idx], entry);
             ++r.count;
             return;
         }
@@ -56,12 +93,12 @@ EventLadder::refillBottom()
             if (r.count == 0) {
                 // Exhausted: its whole range is behind us.
                 bottomLimit = r.end;
-                rungs.pop_back();
+                retireRung();
                 continue;
             }
             while (r.buckets[r.cur].empty())
                 ++r.cur;
-            std::vector<SchedEntry> bucket;
+            Bucket bucket;
             bucket.swap(r.buckets[r.cur]);
             Tick bstart = r.base
                           + (static_cast<Tick>(r.cur) << r.widthLog2);
@@ -79,20 +116,18 @@ EventLadder::refillBottom()
                 unsigned cw = r.widthLog2 > spillBucketsLog2
                                   ? r.widthLog2 - spillBucketsLog2
                                   : 0;
-                unsigned parentLog2 = r.widthLog2;
-                Rung child;
-                child.base = bstart;
-                child.end = bend;
-                child.widthLog2 = cw;
-                child.buckets.resize(std::size_t(1)
-                                     << (parentLog2 - cw));
+                Rung child = makeRung(bstart, bend, cw,
+                                      std::size_t(1)
+                                          << (r.widthLog2 - cw));
                 for (const SchedEntry &e : bucket)
-                    child.buckets[(e.when - bstart) >> cw].push_back(e);
+                    append(child.buckets[(e.when - bstart) >> cw], e);
                 child.count = bucket.size();
+                recycle(bucket);
                 rungs.push_back(std::move(child));
                 continue;
             }
             bottom.swap(bucket);
+            recycle(bucket);
             // A width-1 bucket holds a single tick in seq order and
             // becomes a sorted run outright; wider buckets are
             // scanned for tick uniformity first (adoptBottom).
@@ -150,13 +185,9 @@ EventLadder::spillTop()
         nbuckets = static_cast<std::size_t>((maxTick - base) >> w) + 1;
     }
 
-    Rung r;
-    r.base = base;
-    r.end = end;
-    r.widthLog2 = w;
-    r.buckets.resize(nbuckets);
+    Rung r = makeRung(base, end, w, nbuckets);
     for (const SchedEntry &e : top)
-        r.buckets[(e.when - base) >> w].push_back(e);
+        append(r.buckets[(e.when - base) >> w], e);
     r.count = top.size();
     top.clear();
     topStart = end;

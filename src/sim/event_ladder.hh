@@ -27,9 +27,10 @@
  *
  * Every event therefore moves through O(1) appends plus one small
  * heapify, instead of sifting through an O(log n) global heap. The
- * tiers hold 24-byte SchedEntry keys only — the actions stay in
- * EventQueue's slot pool — so appends, spills, splits and sifts copy
- * three words per event. Ordering is exact, not approximate:
+ * tiers hold 24-byte SchedEntry keys only — a coroutine resumption is
+ * its frame address, any other action stays in EventQueue's slot
+ * pool — so appends, spills, splits and sifts copy three words per
+ * event. Ordering is exact, not approximate:
  * bottom is a strict (tick, seq) priority queue, and the tier ranges
  * are contiguous and disjoint, so the head of bottom is always the
  * global minimum. Drain order is bit-identical to a binary heap's
@@ -53,6 +54,14 @@
  * other tick inside the window demotes the run back into a heap.
  * Same-tick bursts — the dominant population around barriers and
  * message fan-outs — thus cost O(1) per event instead of O(log n).
+ *
+ * Bucket storage recycles. A drained bucket hands its vector to
+ * bottom, bottom's old vector, a split bucket's vector and an
+ * exhausted rung's bucket array go onto bounded spare lists, and an
+ * empty bucket takes a spare vector on its first append. The steady
+ * state therefore spills, splits and refills without calling the
+ * allocator; the caps keep a burst's worth of spares from pinning
+ * memory for the rest of the run.
  */
 
 #ifndef HOWSIM_SIM_EVENT_LADDER_HH
@@ -196,6 +205,15 @@ class EventLadder
     /** Bucket size beyond which draining splits a finer rung. */
     static constexpr std::size_t splitThreshold = 64;
 
+    /** Most spare bucket vectors kept for reuse. */
+    static constexpr std::size_t maxSpareBuckets = 1024;
+
+    /** Largest capacity (in entries) a spare bucket vector may keep. */
+    static constexpr std::size_t maxSpareCapacity = 4 * splitThreshold;
+
+    /** Most retired rung bucket arrays kept for reuse. */
+    static constexpr std::size_t maxSpareArrays = 8;
+
     /** @} */
 
   private:
@@ -242,6 +260,8 @@ class EventLadder
         return root;
     }
 
+    using Bucket = std::vector<SchedEntry>;
+
     struct Rung
     {
         Tick base;          //!< aligned tick of bucket 0
@@ -249,8 +269,28 @@ class EventLadder
         unsigned widthLog2; //!< log2 of the bucket tick width
         std::size_t cur = 0;   //!< next bucket to drain
         std::size_t count = 0; //!< events currently in the rung
-        std::vector<std::vector<SchedEntry>> buckets;
+        std::vector<Bucket> buckets;
     };
+
+    /** Append to @p bucket, giving an empty one a spare vector. */
+    void
+    append(Bucket &bucket, SchedEntry entry)
+    {
+        if (bucket.capacity() == 0 && !spareBuckets.empty()) {
+            bucket.swap(spareBuckets.back());
+            spareBuckets.pop_back();
+        }
+        bucket.push_back(entry);
+    }
+
+    /** Keep @p bucket's storage as a spare (emptied), within the caps. */
+    void recycle(Bucket &bucket);
+
+    /** A rung of @p n empty buckets, on a retired array if one is kept. */
+    Rung makeRung(Tick base, Tick end, unsigned widthLog2, std::size_t n);
+
+    /** Pop the exhausted rungs.back(), keeping its bucket array. */
+    void retireRung();
 
     void pushRung(SchedEntry entry);
     void refillBottom();
@@ -273,6 +313,8 @@ class EventLadder
     Tick topMin = maxTick;
     Tick topMax = 0;
     std::size_t events = 0;
+    std::vector<Bucket> spareBuckets; //!< empty, with capacity
+    std::vector<std::vector<Bucket>> spareArrays; //!< retired rungs'
 };
 
 } // namespace howsim::sim

@@ -5,13 +5,14 @@
  * Events are (tick, sequence, action) triples; the sequence number
  * breaks same-tick ties so that events scheduled for the same tick
  * execute in scheduling order, which keeps simulations
- * deterministic. The queue splits each event in two: its action is
- * parked in a slot pool (a vector of InlineActions plus a stack of
- * free slot indices), and a trivially copyable 24-byte key
- * {tick, seq, slot} goes to the ladder queue (event_ladder.hh),
- * which orders keys in amortized O(1) per operation. An action
- * therefore moves once in and once out, however often its key is
- * sifted, split or spilled.
+ * deterministic. The ladder queue (event_ladder.hh) orders trivially
+ * copyable 24-byte keys {tick, seq, ref} in amortized O(1) per
+ * operation. Most events only resume a coroutine, and for those `ref`
+ * is the frame address itself: scheduling and running one touches
+ * nothing but the key. Any other action is parked in a slot pool (a
+ * vector of InlineActions plus a stack of free slot indices) and
+ * `ref` is `slot << 1 | 1`, so such an action moves once in and once
+ * out, however often its key is sifted, split or spilled.
  *
  * The ladder drains in strict (tick, seq) order, exactly as a binary
  * heap would; tests/oracle/event_heap.hh keeps that heap as the
@@ -58,13 +59,13 @@ class EventQueue
 
     /**
      * Fast path: schedule the resumption of @p h at time @p when.
-     * Equivalent to scheduling [h] { h.resume(); } — the handle is
-     * stored in the action's inline buffer, so no allocation occurs.
+     * Equivalent to scheduling [h] { h.resume(); }, but the frame
+     * address rides in the key and the slot pool is never touched.
      */
     void
     schedule(Tick when, std::coroutine_handle<> h)
     {
-        schedule(when, Action(h));
+        ladder.push({when, nextSeq++, handleRef(h)});
     }
 
     /**
@@ -97,15 +98,32 @@ class EventQueue
     Tick nextTick() { return ladder.minTick(); }
 
     /**
-     * Remove and return the earliest pending event, with its tick.
-     * @pre !empty().
+     * Remove the earliest pending event, set @p clock to its tick and
+     * run it: the simulator's event loop. @pre !empty().
+     */
+    void
+    runNext(Tick &clock)
+    {
+        SchedEntry key = ladder.pop();
+        clock = key.when;
+        if (key.ref & 1)
+            unpark(key.ref)();
+        else
+            frameOf(key.ref).resume();
+    }
+
+    /**
+     * Remove and return the earliest pending event, with its tick, for
+     * callers that hold the action before running it (tests and
+     * benches). @pre !empty().
      */
     Popped
     pop()
     {
         SchedEntry key = ladder.pop();
-        freeSlots.push_back(key.slot);
-        return {key.when, std::move(pool[key.slot])};
+        if (key.ref & 1)
+            return {key.when, unpark(key.ref)};
+        return {key.when, Action(frameOf(key.ref))};
     }
 
     /**
@@ -132,20 +150,51 @@ class EventQueue
     }
 
   private:
-    /** Move @p action into a free pool slot; return its index. */
-    std::uint32_t
+    /** The key reference of a coroutine resumption: its address. */
+    static std::uint64_t
+    handleRef(std::coroutine_handle<> h)
+    {
+        auto ref = reinterpret_cast<std::uintptr_t>(h.address());
+        if (ref & 1)
+            panic("EventQueue: coroutine frame %p is not aligned",
+                  h.address());
+        return ref;
+    }
+
+    /** The coroutine behind a handle ref (low bit 0). */
+    static std::coroutine_handle<>
+    frameOf(std::uint64_t ref)
+    {
+        return std::coroutine_handle<>::from_address(
+            reinterpret_cast<void *>(ref));
+    }
+
+    /** Move @p action into a free pool slot; return its key ref. */
+    std::uint64_t
     park(Action &&action)
     {
+        std::uint32_t slot;
         if (!freeSlots.empty()) {
-            std::uint32_t slot = freeSlots.back();
+            slot = freeSlots.back();
             freeSlots.pop_back();
             pool[slot] = std::move(action);
-            return slot;
+        } else {
+            if (pool.size() == UINT32_MAX)
+                panic("EventQueue: more than %u pending actions",
+                      UINT32_MAX);
+            slot = static_cast<std::uint32_t>(pool.size());
+            pool.push_back(std::move(action));
         }
-        if (pool.size() == UINT32_MAX)
-            panic("EventQueue: more than %u pending events", UINT32_MAX);
-        pool.push_back(std::move(action));
-        return static_cast<std::uint32_t>(pool.size() - 1);
+        return std::uint64_t{slot} << 1 | 1;
+    }
+
+    /** Move the action behind @p ref out of the pool, freeing it. */
+    Action
+    unpark(std::uint64_t ref)
+    {
+        auto slot = static_cast<std::uint32_t>(ref >> 1);
+        freeSlots.push_back(slot);
+        return std::move(pool[slot]);
     }
 
     EventLadder ladder;

@@ -30,6 +30,7 @@ totalEventsExecuted()
 
 Simulator::Simulator()
 {
+    detachedRing.prev = detachedRing.next = &detachedRing;
     checkEnvNamesOnce();
     previous = currentSim;
     currentSim = this;
@@ -80,9 +81,18 @@ Simulator::~Simulator()
     // only if the session we registered with is still installed.
     if (obsSession && obs::session() == obsSession)
         obsSession->timeline().dropProbes(this);
-    // Destroy processes before restoring the current-simulator
-    // pointer: process frames may hold awaiter objects whose
-    // destructors unlink themselves from channels/resources.
+    // Destroy frames before restoring the current-simulator pointer:
+    // they may hold awaiter objects whose destructors unlink
+    // themselves from channels/resources. Detached frames still
+    // suspended are owned by nobody else.
+    while (detachedRing.next != &detachedRing) {
+        detail::RingLink *link = detachedRing.next;
+        detachedRing.next = link->next;
+        auto &promise = static_cast<detail::Promise<void> &>(
+            static_cast<detail::PromiseBase &>(*link));
+        std::coroutine_handle<detail::Promise<void>>::from_promise(promise)
+            .destroy();
+    }
     processes.clear();
     if (obsSession)
         obsSession->bindClock(obsPrevClock);
@@ -115,7 +125,11 @@ Simulator::scheduleIn(Tick delay, EventQueue::Action action)
 void
 Simulator::scheduleAt(Tick when, std::coroutine_handle<> h)
 {
-    scheduleAt(when, EventQueue::Action(h));
+    if (when < currentTick)
+        panic("scheduleAt: tick %llu is in the past (now %llu)",
+              static_cast<unsigned long long>(when),
+              static_cast<unsigned long long>(currentTick));
+    queue.schedule(when, h);
 }
 
 void
@@ -144,52 +158,89 @@ Simulator::postKeyed(Tick when, std::uint64_t key,
 ProcessRef
 Simulator::spawn(Coro<void> body, std::string name)
 {
-    return spawnImpl(std::move(body), std::move(name), false);
-}
-
-ProcessRef
-Simulator::spawnDetached(Coro<void> body, std::string name)
-{
-    return spawnImpl(std::move(body), std::move(name), true);
-}
-
-ProcessRef
-Simulator::spawnImpl(Coro<void> body, std::string name, bool detached)
-{
     if (!body.valid())
         panic("spawn of an empty Coro");
 
     auto proc = std::shared_ptr<Process>(
         new Process(*this, std::move(body), std::move(name)));
-    proc->detached = detached;
     processes.emplace(proc.get(), proc);
     Process *raw = proc.get();
     Tick t = now();
-    // Trace process lifetimes as async spans. Detached processes are
-    // high-volume (per-frame forwards, isends), so they only appear
-    // at fine detail.
-    if (obsSession && (!detached || obsSession->fine())) {
+    // Trace process lifetimes as async spans.
+    if (obsSession) {
         raw->obsSpanId = obsSession->trace().asyncBegin(
             "process", raw->procName, t);
     }
-    raw->body.promise().onDone = [raw] { raw->onComplete(); };
+    detail::Promise<void> &promise = raw->body.promise();
+    promise.process = raw;
     // Start the body at the current tick, after already-queued events.
-    scheduleAt(t, [raw] { raw->body.resume(); });
+    std::coroutine_handle<> start =
+        std::coroutine_handle<detail::Promise<void>>::from_promise(promise);
+    scheduleAt(t, start);
     return proc;
 }
 
 void
-Simulator::reap(Process *proc)
+Simulator::spawnDetached(Coro<void> body, std::string_view name)
 {
-    auto it = processes.find(proc);
-    if (it == processes.end())
-        return;
-    if (proc->error && !proc->errorObserved) {
-        proc->errorObserved = true;
-        detachedErrors.push_back(proc->error);
+    if (!body.valid())
+        panic("spawn of an empty Coro");
+
+    std::coroutine_handle<detail::Promise<void>> frame = body.release();
+    detail::PromiseBase &promise = frame.promise();
+    std::coroutine_handle<> h = frame;
+    promise.prev = detachedRing.prev;
+    promise.next = &detachedRing;
+    detachedRing.prev->next = &promise;
+    detachedRing.prev = &promise;
+    Tick t = now();
+    // Detached processes are high-volume (handshake legs, per-frame
+    // forwards), so their spans only appear at fine detail.
+    if (obsSession && obsSession->fine()) {
+        std::string label(name);
+        std::uint64_t id =
+            obsSession->trace().asyncBegin("process", label, t);
+        detachedSpans.emplace(h.address(),
+                              DetachedSpan{id, std::move(label)});
     }
-    processes.erase(it);
+    scheduleAt(t, h);
 }
+
+void
+Simulator::finishDetached(detail::PromiseBase &p, std::coroutine_handle<> h)
+{
+    p.prev->next = p.next;
+    p.next->prev = p.prev;
+    if (p.exception)
+        detachedErrors.push_back(p.exception);
+    if (!detachedSpans.empty()) {
+        auto it = detachedSpans.find(h.address());
+        if (it != detachedSpans.end()) {
+            obsSession->trace().asyncEnd("process", it->second.name,
+                                         it->second.id, now());
+            detachedSpans.erase(it);
+        }
+    }
+    h.destroy();
+}
+
+namespace detail
+{
+
+void
+finishTopLevel(PromiseBase &p, std::coroutine_handle<> h) noexcept
+{
+    if (p.process) {
+        p.process->onComplete();
+        return;
+    }
+    Simulator *s = Simulator::current();
+    if (!s)
+        panic("detached process finished outside a simulation");
+    s->finishDetached(p, h);
+}
+
+} // namespace detail
 
 Tick
 Simulator::run(Tick until)
@@ -200,10 +251,8 @@ Simulator::run(Tick until)
         // The original tight loop: with observability off, the hot
         // path is exactly what it was before obs existed.
         while (!queue.empty() && queue.nextTick() <= until) {
-            auto event = queue.pop();
-            currentTick = event.when;
             ++executed;
-            event.action();
+            queue.runNext(currentTick);
         }
     } else {
         obs::Timeline &timeline = obsSession->timeline();
@@ -213,9 +262,8 @@ Simulator::run(Tick until)
                 break;
             currentTick = t;
             timeline.maybeSample(t);
-            auto event = queue.pop();
             ++executed;
-            event.action();
+            queue.runNext(currentTick);
         }
         obsSession->metrics()
             .gauge("sim.events_executed")
@@ -260,12 +308,6 @@ Process::onComplete()
     for (auto h : joiners)
         owner.scheduleAt(owner.now(), h);
     joiners.clear();
-    if (detached) {
-        // Reclaim after the current resume() unwinds; any holder of
-        // the ProcessRef keeps the handle (not the frame) alive.
-        Process *self = this;
-        owner.scheduleAt(owner.now(), [self] { self->owner.reap(self); });
-    }
 }
 
 Coro<void>

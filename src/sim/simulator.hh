@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -73,8 +74,9 @@ class KeyStream
 /**
  * Discrete-event simulation executive.
  *
- * Owns the clock and the event queue, and keeps every spawned
- * top-level process alive for the lifetime of the simulation. A
+ * Owns the clock and the event queue, and keeps every spawn()ed
+ * process alive for the lifetime of the simulation (a detached one
+ * frees itself when it completes). A
  * thread-local "current simulator" is maintained while run() executes
  * so that awaitables (delays, channels, resources) can reach the
  * event queue without threading a pointer through every call.
@@ -126,13 +128,16 @@ class Simulator
     ProcessRef spawn(Coro<void> body, std::string name = "proc");
 
     /**
-     * Start a fire-and-forget process whose resources are reclaimed
-     * as soon as it completes (unless the caller retains the returned
-     * handle). Use for high-volume short-lived activities such as
-     * per-frame network forwarding. An exception escaping a detached
-     * process is rethrown from run().
+     * Start a fire-and-forget process at the current time. Use for
+     * high-volume short-lived activities such as handshake legs and
+     * per-frame network forwarding: no Process exists, and the frame
+     * destroys itself when it completes. Until then it sits on an
+     * intrusive ring of live detached frames, so ~Simulator destroys
+     * any that are still suspended. An exception escaping a detached
+     * process is rethrown from run(). @p name labels the process span
+     * of a fine-detail trace.
      */
-    ProcessRef spawnDetached(Coro<void> body, std::string name = "proc");
+    void spawnDetached(Coro<void> body, std::string_view name = "proc");
 
     /**
      * Schedule @p action at absolute tick @p when with the explicit
@@ -163,9 +168,6 @@ class Simulator
     /** Number of events executed so far. */
     std::uint64_t eventsExecuted() const { return executed; }
 
-    /** Number of processes ever spawned. */
-    std::size_t processCount() const { return processes.size(); }
-
     /**
      * The simulator currently inside run() on this thread, or the
      * most recently constructed one (so processes can be spawned
@@ -175,10 +177,18 @@ class Simulator
 
   private:
     friend class Process;
+    friend void detail::finishTopLevel(detail::PromiseBase &p,
+                                       std::coroutine_handle<> h) noexcept;
 
-    ProcessRef spawnImpl(Coro<void> body, std::string name,
-                         bool detached);
-    void reap(Process *proc);
+    /** A detached frame's trace span (fine-detail traces only). */
+    struct DetachedSpan
+    {
+        std::uint64_t id;
+        std::string name;
+    };
+
+    /** Unlink, report and destroy a completed detached frame. */
+    void finishDetached(detail::PromiseBase &p, std::coroutine_handle<> h);
 
     Tick currentTick = 0;
     EventQueue queue;
@@ -195,6 +205,10 @@ class Simulator
     ArenaScope arenaScope{&frameArena};
 
     std::unordered_map<Process *, ProcessRef> processes;
+    /** Sentinel of the ring of live detached frames. */
+    detail::RingLink detachedRing;
+    /** Open detached-process spans by frame address (fine traces). */
+    std::unordered_map<void *, DetachedSpan> detachedSpans;
     std::vector<std::exception_ptr> detachedErrors;
     std::uint64_t executed = 0;
     std::uint64_t nextKeyStream = 0;
@@ -257,6 +271,8 @@ class Process
 
   private:
     friend class Simulator;
+    friend void detail::finishTopLevel(detail::PromiseBase &p,
+                                       std::coroutine_handle<> h) noexcept;
 
     Process(Simulator &s, Coro<void> b, std::string n);
 
@@ -266,7 +282,6 @@ class Process
     Coro<void> body;
     std::string procName;
     std::uint64_t obsSpanId = 0; //!< async span; 0 = not traced
-    bool detached = false;
     bool doneFlag = false;
     bool errorObserved = false;
     std::exception_ptr error;

@@ -80,7 +80,7 @@ ClusterTaskRunner::computeIn(int node, const char *bucket,
         Tick t0 = simulator.now();
         co_await machine.cpu(node).compute(ref_ticks);
         sess->trace().complete(
-            sess->trace().track("h" + std::to_string(node) + ".cpu"),
+            sess->trace().track(strprintf("h%d.cpu", node)),
             bucket, "compute", t0, simulator.now() - t0);
     } else {
         co_await machine.cpu(node).compute(ref_ticks);

@@ -168,13 +168,6 @@ class ClusterTaskRunner
         return machine.msg().send(src, dst, std::move(m));
     }
 
-    sim::ProcessRef
-    msgPost(int src, int dst, net::Message m)
-    {
-        m.tag += stream * net::kStreamTagStride;
-        return machine.msg().postSend(src, dst, std::move(m));
-    }
-
     sim::Coro<net::Message> msgRecv(int host, int tag = 0);
 
     sim::Coro<void>

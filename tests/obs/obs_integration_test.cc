@@ -112,6 +112,40 @@ TEST_F(ObsTest, SpanDurationIsSimulatedTime)
     EXPECT_TRUE(found);
 }
 
+TEST_F(ObsTest, DetachedProcessSpansAppearAtFineDetailOnly)
+{
+    for (obs::Detail detail : {obs::Detail::Coarse, obs::Detail::Fine}) {
+        obs::Session::Options opts;
+        opts.detail = detail;
+        obs::Session session("detached", opts);
+        sim::Simulator simulator;
+        simulator.scheduleAt(100, [&simulator] {
+            simulator.spawnDetached(
+                []() -> sim::Coro<void> { co_await sim::delay(250); }(),
+                "leg");
+        });
+        simulator.run();
+        int begins = 0, ends = 0;
+        std::uint64_t beginId = 0;
+        for (const auto &ev : session.trace().allEvents()) {
+            if (ev.name != "leg")
+                continue;
+            if (ev.ph == 'b') {
+                ++begins;
+                beginId = ev.id;
+                EXPECT_EQ(ev.ts, 100u);
+            } else if (ev.ph == 'e') {
+                ++ends;
+                EXPECT_EQ(ev.id, beginId);
+                EXPECT_EQ(ev.ts, 350u);
+            }
+        }
+        const int want = detail == obs::Detail::Fine ? 1 : 0;
+        EXPECT_EQ(begins, want);
+        EXPECT_EQ(ends, want);
+    }
+}
+
 TEST_F(ObsTest, PhaseSpansAgreeWithBreakdownBuckets)
 {
     obs::Session session("sortspans", {});

@@ -10,7 +10,9 @@
  *
  * HeapQueue mirrors EventQueue's interface and storage split: actions
  * are parked in a slot pool and the heap sifts 24-byte
- * {tick, seq, slot} keys with the <algorithm> heap primitives,
+ * {tick, seq, ref} keys (ref = slot << 1 | 1, EventQueue's tag for a
+ * parked action; the oracle parks coroutine resumptions too) with
+ * the <algorithm> heap primitives,
  * O(log n) per schedule and pop. Both drain in strict (tick, seq)
  * order, so a workload driven through either produces the same
  * trace; only the host-time cost differs.
@@ -113,8 +115,9 @@ class HeapQueue
     pop()
     {
         sim::SchedEntry key = heap.pop();
-        freeSlots.push_back(key.slot);
-        return {key.when, std::move(pool[key.slot])};
+        auto slot = static_cast<std::uint32_t>(key.ref >> 1);
+        freeSlots.push_back(slot);
+        return {key.when, std::move(pool[slot])};
     }
 
     void
@@ -128,19 +131,22 @@ class HeapQueue
     std::uint64_t scheduledCount() const { return nextSeq; }
 
   private:
-    std::uint32_t
+    std::uint64_t
     park(Action &&action)
     {
+        std::uint32_t slot;
         if (!freeSlots.empty()) {
-            std::uint32_t slot = freeSlots.back();
+            slot = freeSlots.back();
             freeSlots.pop_back();
             pool[slot] = std::move(action);
-            return slot;
+        } else {
+            if (pool.size() == UINT32_MAX)
+                panic("HeapQueue: more than %u pending events",
+                      UINT32_MAX);
+            slot = static_cast<std::uint32_t>(pool.size());
+            pool.push_back(std::move(action));
         }
-        if (pool.size() == UINT32_MAX)
-            panic("HeapQueue: more than %u pending events", UINT32_MAX);
-        pool.push_back(std::move(action));
-        return static_cast<std::uint32_t>(pool.size() - 1);
+        return std::uint64_t{slot} << 1 | 1;
     }
 
     EventHeap heap;

@@ -14,11 +14,32 @@
 #include <string>
 #include <vector>
 
+#include "sim/arena.hh"
 #include "sim/awaitables.hh"
 #include "sim/coro.hh"
 #include "sim/simulator.hh"
 
 using namespace howsim::sim;
+
+namespace
+{
+
+/** Counts its destruction: proves a frame's locals were unwound. */
+struct DestroyCounter
+{
+    int *count;
+    ~DestroyCounter() { ++*count; }
+};
+
+/** Park on @p trig (which never fires) with a counter local. */
+Coro<void>
+parkForever(Trigger *trig, int *destroyed)
+{
+    DestroyCounter guard{destroyed};
+    co_await trig->wait();
+}
+
+} // namespace
 
 TEST(Simulator, RunsScheduledActionsAndAdvancesClock)
 {
@@ -280,6 +301,28 @@ TEST(Simulator, TriggerWakesAllWaiters)
     EXPECT_EQ(woken, 5);
 }
 
+TEST(Simulator, TriggerWakesWaitersInWaitOrder)
+{
+    // The first waiter is stored inline and the rest in a vector;
+    // fire() must still wake them in the order they waited.
+    Simulator sim;
+    Trigger trig;
+    std::vector<int> order;
+    auto waiter = [&trig, &order](int id) -> Coro<void> {
+        co_await trig.wait();
+        order.push_back(id);
+    };
+    for (int i = 0; i < 4; ++i)
+        sim.spawn(waiter(i));
+    auto firer = [&trig]() -> Coro<void> {
+        co_await delay(10);
+        trig.fire();
+    };
+    sim.spawn(firer());
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
 TEST(Simulator, TriggerAfterFireDoesNotBlock)
 {
     Simulator sim;
@@ -356,4 +399,45 @@ TEST(Simulator, ManyProcessesScale)
         sim.spawn(work(static_cast<Tick>(i % 97)));
     sim.run();
     EXPECT_EQ(completed, n);
+}
+
+TEST(Simulator, DetachedFramesFreeThemselvesOnCompletion)
+{
+    Simulator sim;
+    int finished = 0;
+    auto leg = [](int *done) -> Coro<void> {
+        co_await delay(5);
+        ++*done;
+    };
+    const std::uint64_t before = Arena::current()->stats().live;
+    for (int i = 0; i < 50; ++i)
+        sim.spawnDetached(leg(&finished), "leg");
+    EXPECT_EQ(Arena::current()->stats().live, before + 50);
+    sim.run();
+    EXPECT_EQ(finished, 50);
+    EXPECT_EQ(Arena::current()->stats().live, before);
+}
+
+TEST(Simulator, TeardownFreesSuspendedDetachedFrames)
+{
+    // The frames are made under a test-owned arena, so their count
+    // outlives the simulator that runs them.
+    Arena arena;
+    ArenaScope scope(&arena);
+    Trigger never;
+    int destroyed = 0;
+    {
+        std::vector<Coro<void>> bodies;
+        for (int i = 0; i < 4; ++i)
+            bodies.push_back(parkForever(&never, &destroyed));
+        EXPECT_EQ(arena.stats().live, 4u);
+        Simulator sim;
+        for (auto &body : bodies)
+            sim.spawnDetached(std::move(body), "parked");
+        sim.run();
+        EXPECT_EQ(arena.stats().live, 4u) << "frames still suspended";
+        EXPECT_EQ(destroyed, 0);
+    }
+    EXPECT_EQ(destroyed, 4);
+    EXPECT_EQ(arena.stats().live, 0u);
 }
